@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 BENCHCPU ?= 4
 
-.PHONY: all help build vet test test-race bench bench-dispatch bench-gate determinism chaos gray codecswap fuzz recovery ci ci-local
+.PHONY: all help build vet test test-race reconfig bench bench-dispatch bench-gate determinism chaos gray fuzz recovery ci ci-local
 
 all: build
 
@@ -16,23 +16,23 @@ help:
 	@echo "  vet             go vet ./..."
 	@echo "  test            go test ./..."
 	@echo "  test-race       go test -race ./... (deque/routing-cache stress tests)"
+	@echo "  reconfig        channel/swap/fan-out contract tests, 20 runs at each of"
+	@echo "                  -cpu 1,2,4, then once under -race"
 	@echo "  bench           full benchmark sweep (macro experiments included)"
 	@echo "  bench-dispatch  hot-path microbenchmarks only: dispatch, fan-out,"
 	@echo "                  ping-pong, deque. Pinned -benchtime $(BENCHTIME) -cpu $(BENCHCPU);"
 	@echo "                  override with BENCHTIME=... BENCHCPU=..."
-	@echo "  bench-gate      million-key + WAL durability + hedge + wire-codec catsbench"
-	@echo "                  profiles (reduced scale) gated against the"
-	@echo "                  bench/BENCH_baseline_* floors"
+	@echo "  bench-gate      million-key + WAL durability + hedge catsbench profiles"
+	@echo "                  (reduced scale) gated against the bench/BENCH_baseline_*"
+	@echo "                  floors"
 	@echo "  determinism     run the simulation twice per seed and diff trace digests"
 	@echo "  chaos           churn scenario under -race plus two-run chaos report diffs"
 	@echo "                  (memory, long-outage, and durable WAL-backed variants)"
 	@echo "  gray            gray-failure scenario (straggler pulses + overload burst):"
 	@echo "                  3 seeds, two runs each diffed byte-identically, hedges and"
 	@echo "                  sheds must fire, history linearizable with no lost writes"
-	@echo "  codecswap       live wire-codec swap scenario: swap + flap event-stream"
-	@echo "                  tests under -race, then 3 seeds run twice each and diffed"
-	@echo "                  byte-identically with swaps fired and both formats on the wire"
-	@echo "  fuzz            binary frame decoder fuzz targets, 30s each"
+	@echo "  fuzz            wire decoder fuzz targets: the network package's, 30s"
+	@echo "                  each, and each protocol package's message set, 10s each"
 	@echo "  recovery        SIGKILL a durable cluster mid-churn, rebuild from WAL +"
 	@echo "                  snapshots, assert linearizable + no lost acked writes"
 	@echo "  ci              vet + build + test-race"
@@ -52,6 +52,15 @@ test:
 # internal/core (concurrent push/pop/steal, subscribe/unsubscribe under fire).
 test-race:
 	$(GO) test -race ./...
+
+# The paper's §2.6 channel contract: Hold/Resume/Unplug/Plug/Swap never
+# drop or reorder an event, under concurrent and batched fan-out traffic.
+# Interleavings depend on the core count and the host's load, so the
+# oracles run 20 times at each of 1, 2 and 4 CPUs, then under -race.
+RECONFIG_TESTS = Channel|Hold|Unplug|Disconnect|Swap|Fanout|FanOut|TriggerBatch
+reconfig:
+	$(GO) test -count=20 -cpu 1,2,4 -run '$(RECONFIG_TESTS)' ./internal/core/
+	$(GO) test -race -count=1 -run '$(RECONFIG_TESTS)' ./internal/core/
 
 # Full benchmark sweep (experiment macro-benchmarks take seconds per run).
 bench:
@@ -73,7 +82,6 @@ bench-gate:
 	/tmp/catsbench -exp million -quick -json-dir /tmp/bench -gate bench/BENCH_baseline_million.json
 	/tmp/catsbench -exp wal -quick -json-dir /tmp/bench -wal-gate bench/BENCH_baseline_wal.json
 	/tmp/catsbench -exp hedge -json-dir /tmp/bench -hedge-gate bench/BENCH_baseline_hedge.json
-	/tmp/catsbench -exp codec -quick -json-dir /tmp/bench -codec-gate bench/BENCH_baseline_codec.json
 
 # Local mirror of the CI determinism job: one seed, two runs, diff all
 # deterministic output lines (wall time filtered) including the -trace digest.
@@ -128,30 +136,20 @@ gray:
 		grep -Eq 'slow_windows=[1-9]' /tmp/gray-$$seed-a.txt || { echo "seed $$seed: no gray faults injected"; exit 1; }; \
 	done
 
-# Local mirror of the CI codecswap job: the live-swap event-stream tests
-# (zero lost/reordered frames across SwapCodec with a mid-swap redial)
-# under -race, then three seeds' codecswap chaos reports each run twice
-# and diffed — catssim itself exits 1 unless the history is linearizable
-# with zero lost acked writes, zero codec errors, swaps > 0, and a frame
-# mix spanning both wire formats.
-codecswap:
-	$(GO) test -race -count=1 -run 'CodecSwap|SwapCodec|SwapAllCodecs' ./internal/experiments/ ./internal/network/
-	$(GO) build -o /tmp/catssim ./cmd/catssim
-	for seed in 1 9 451; do \
-		/tmp/catssim -mode codecswap -seed $$seed > /tmp/codecswap-$$seed-a.txt || exit 1; \
-		/tmp/catssim -mode codecswap -seed $$seed > /tmp/codecswap-$$seed-b.txt || exit 1; \
-		diff -u /tmp/codecswap-$$seed-a.txt /tmp/codecswap-$$seed-b.txt || exit 1; \
-		cat /tmp/codecswap-$$seed-a.txt; \
-	done
-
-# Binary frame decoder fuzz targets (also run as 30s smoke in CI): the
-# payload decoder must never panic or mis-frame on arbitrary bytes, the
-# WireReader must latch at the first out-of-bounds read, and the framing
-# layer must keep control prefixes and legal lengths disjoint.
+# Wire decoder fuzz targets (also run as smoke in CI): the payload decoder
+# must never panic or mis-frame on arbitrary bytes, the WireReader must
+# latch at the first out-of-bounds read, and the framing layer must keep
+# control prefixes and legal lengths disjoint. Each protocol package fuzzes
+# the decoders of its own message set, seeded with one payload per tag.
+WIRE_FUZZ = abd:FuzzABDWire handoff:FuzzHandoffWire fd:FuzzFDWire ring:FuzzRingWire \
+	cyclon:FuzzCyclonWire bootstrap:FuzzBootstrapWire monitor:FuzzMonitorWire
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePayload' -fuzztime 30s ./internal/network/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireReader' -fuzztime 30s ./internal/network/
 	$(GO) test -run '^$$' -fuzz 'FuzzFramePrefix' -fuzztime 30s ./internal/network/
+	for t in $(WIRE_FUZZ); do \
+		$(GO) test -run '^$$' -fuzz "$${t#*:}" -fuzztime 10s ./internal/$${t%%:*}/ || exit 1; \
+	done
 
 # Local mirror of the CI recovery job, one seed: phase 1 SIGKILLs its own
 # process mid-churn (exit 137 is the expected outcome), phase 2 rebuilds
@@ -185,15 +183,15 @@ ci: vet build test-race
 ci-local: vet build
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) test -count=1 ./...
+	$(MAKE) reconfig
 	$(GO) test -race -count=1 ./...
 	$(GO) test -run 'ZeroAlloc' -count=1 .
 	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -count=1 ./internal/kvstore/
 	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources' -count=1 ./internal/web/
 	$(GO) test -run 'PhaseMetricsExposition' -count=1 ./internal/abd/
-	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/
+	$(GO) test -run 'ZeroAlloc|WireRoundTrip' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/ring/ ./internal/cyclon/ ./internal/bootstrap/ ./internal/monitor/
 	$(MAKE) determinism
 	$(MAKE) chaos
 	$(MAKE) gray
-	$(MAKE) codecswap
 	$(MAKE) recovery
 	$(MAKE) bench-gate

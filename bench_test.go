@@ -47,7 +47,7 @@ func BenchmarkC1OperationLatency(b *testing.B) {
 	for _, repl := range []int{3, 5} {
 		b.Run(fmt.Sprintf("replication=%d", repl), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.Latency(8, repl, 1024, 300, experiments.CodecStream)
+				r := experiments.Latency(8, repl, 1024, 300)
 				b.ReportMetric(float64(r.Mean.Microseconds()), "mean-us/op")
 				b.ReportMetric(float64(r.P99.Microseconds()), "p99-us/op")
 				b.ReportMetric(100*r.SubMilli, "%sub-ms")
@@ -343,37 +343,30 @@ func BenchmarkSchedulerWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkSerialization measures the gob codec with and without
-// zlib compression for a 1 KiB message (the pluggable-codec design).
+// BenchmarkNetworkSerialization measures the wire codec's encode and
+// decode of a 1 KiB message (the paper's pluggable serializer, Kryo).
 func BenchmarkNetworkSerialization(b *testing.B) {
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i % 7) // mildly compressible
-	}
 	msg := benchNetMsg{
 		Header:  network.NewHeader(network.Address{Host: "a", Port: 1}, network.Address{Host: "b", Port: 2}),
-		Payload: payload,
+		Payload: make([]byte, 1024),
 	}
-	for _, compress := range []bool{false, true} {
-		name := "gob"
-		if compress {
-			name = "gob+zlib"
-		}
-		b.Run(name, func(b *testing.B) {
-			codec := network.Codec{Compress: compress}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.RoundTrip(msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("gob-stream", func(b *testing.B) {
-		codec := network.NewStreamCodec()
+	var c network.Codec
+	b.Run("encode", func(b *testing.B) {
+		var m network.Message = msg
+		buf := make([]byte, 0, 2048)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := codec.RoundTrip(msg); err != nil {
+			buf, _ = c.EncodeAppend(buf[:0], m)
+		}
+	})
+	b.Run("round-trip", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := c.Encode(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Decode(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -385,8 +378,18 @@ type benchNetMsg struct {
 	Payload []byte
 }
 
+const wireTagBenchNet byte = 0xF8
+
+func (m benchNetMsg) WireTag() byte { return wireTagBenchNet }
+
+func (m benchNetMsg) AppendWire(dst []byte) []byte {
+	return network.AppendBytes(network.AppendHeader(dst, m.Header), m.Payload)
+}
+
 func init() {
-	network.Register(benchNetMsg{})
+	network.RegisterWire(wireTagBenchNet, "bench.netMsg", func(r *network.WireReader) network.Message {
+		return benchNetMsg{Header: r.Header(), Payload: r.Bytes()}
+	})
 }
 
 // BenchmarkSimulatorEventRate measures the raw discrete-event throughput

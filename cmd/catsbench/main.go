@@ -9,7 +9,6 @@
 //	catsbench -exp million   # C5: 1M-key sharded-store open-loop profile
 //	catsbench -exp wal       # C7: durability (WAL sync policy) A/B
 //	catsbench -exp hedge     # C8: hedged quorum phases vs a gray replica A/B
-//	catsbench -exp codec     # C9: wire codec A/B (gob+zlib vs binary)
 //	catsbench -exp all
 //
 // -json-dir writes a machine-readable BENCH_<name>.json per experiment so
@@ -35,14 +34,13 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1 | latency | scaling | stealing | quorum | trace | million | wal | hedge | codec | all")
+		exp       = flag.String("exp", "all", "experiment: table1 | latency | scaling | stealing | quorum | trace | million | wal | hedge | all")
 		seed      = flag.Int64("seed", 2012, "random seed")
 		quick     = flag.Bool("quick", false, "smaller sizes for a fast pass")
 		jsonDir   = flag.String("json-dir", "", "directory to write BENCH_<name>.json results into")
 		gate      = flag.String("gate", "", "baseline BENCH_million.json to gate the million profile against (>10% ops/s regression fails)")
 		walGate   = flag.String("wal-gate", "", "baseline BENCH_wal.json to gate the durability-on (sync=always) throughput against (>10% regression fails)")
 		hedgeGate = flag.String("hedge-gate", "", "baseline BENCH_hedge.json to gate the hedging tail-latency improvement against (inert hedging or lost improvement fails)")
-		codecGate = flag.String("codec-gate", "", "baseline BENCH_codec.json to gate the binary wire codec against (inert binary arm, lost gob+zlib advantage, or >10% loopback regression fails)")
 	)
 	flag.Parse()
 
@@ -50,7 +48,7 @@ func main() {
 	if *exp == "all" {
 		run["table1"], run["latency"], run["scaling"], run["stealing"] = true, true, true, true
 		run["quorum"], run["trace"], run["million"], run["wal"] = true, true, true, true
-		run["hedge"], run["codec"] = true, true
+		run["hedge"] = true
 	} else {
 		run[*exp] = true
 	}
@@ -91,10 +89,6 @@ func main() {
 		hedge(*seed, *jsonDir, *hedgeGate)
 		any = true
 	}
-	if run["codec"] {
-		codecBench(*quick, *jsonDir, *codecGate)
-		any = true
-	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "catsbench: unknown experiment %q\n", *exp)
 		os.Exit(1)
@@ -130,16 +124,14 @@ func latency(quick bool) {
 	fmt.Println("   (paper: sub-millisecond get/put on LAN, replication degree 5, incl.")
 	fmt.Println("    2 quorum round-trips, 4x serialization, 4x deserialization)")
 	fmt.Println()
-	fmt.Printf("%6s %5s %13s %10s  %10s  %10s  %10s  %10s  %8s\n",
-		"Nodes", "Repl", "Codec", "ValueSize", "Mean", "P50", "P99", "Max", "<1ms")
+	fmt.Printf("%6s %5s %10s  %10s  %10s  %10s  %10s  %8s\n",
+		"Nodes", "Repl", "ValueSize", "Mean", "P50", "P99", "Max", "<1ms")
 	for _, r := range []experiments.LatencyResult{
-		experiments.Latency(8, 3, 1024, ops, experiments.CodecStream),
-		experiments.Latency(8, 5, 1024, ops, experiments.CodecStream),
-		experiments.Latency(8, 5, 1024, ops, experiments.CodecPerMessage),
-		experiments.Latency(8, 5, 1024, ops, experiments.CodecPerMessageZlib),
+		experiments.Latency(8, 3, 1024, ops),
+		experiments.Latency(8, 5, 1024, ops),
 	} {
-		fmt.Printf("%6d %5d %13s %10d  %10v  %10v  %10v  %10v  %7.1f%%\n",
-			r.Nodes, r.Replication, r.Codec, r.ValueSize,
+		fmt.Printf("%6d %5d %10d  %10v  %10v  %10v  %10v  %7.1f%%\n",
+			r.Nodes, r.Replication, r.ValueSize,
 			r.Mean.Round(time.Microsecond), r.P50.Round(time.Microsecond),
 			r.P99.Round(time.Microsecond), r.Max.Round(time.Microsecond),
 			100*r.SubMilli)
@@ -546,116 +538,4 @@ func gateMillion(baselinePath string, rec benchJSON) {
 		os.Exit(1)
 	}
 	fmt.Println("   gate: PASS")
-}
-
-// codecJSON is the machine-readable record for the wire-codec A/B: the
-// full four-arm result plus a name for the BENCH_<name>.json convention.
-type codecJSON struct {
-	Name string `json:"name"`
-	experiments.CodecBenchResult
-}
-
-func codecBench(quick bool, jsonDir, gate string) {
-	clients, ops, rounds := 32, 3000, 3
-	if quick {
-		clients, ops, rounds = 16, 800, 2
-	}
-	fmt.Println("== C9: wire codec A/B — gob+zlib vs zero-copy binary (quorum workload) ==")
-	fmt.Println("   (same closed-loop put/get load per arm; loopback isolates codec cost,")
-	fmt.Println("    TCP runs the full handshake-negotiated socket path; rounds interleave")
-	fmt.Println("    codec order and a warm-up round per transport is discarded)")
-	fmt.Println()
-	r := experiments.CodecAB(3, clients, ops, rounds)
-	fmt.Printf("%10s  %10s  %10s  %12s  %12s  %14s  %10s\n",
-		"Transport", "Codec", "Ops/s", "P50", "P99", "BinaryFrames", "Fallbacks")
-	for _, a := range r.Arms {
-		fmt.Printf("%10s  %10s  %10.0f  %12v  %12v  %14d  %10d\n",
-			a.Transport, a.Codec, a.OpsPS,
-			a.P50.Round(time.Microsecond), a.P99.Round(time.Microsecond),
-			a.BinaryEncoded, a.CodecFallbacks)
-	}
-	fmt.Printf("\n   loopback: binary vs gob+zlib %+.1f%%   tcp: %+.1f%%\n\n",
-		100*r.LoopbackImprovement, 100*r.TCPImprovement)
-
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "catsbench: json dir: %v\n", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(jsonDir, "BENCH_codec.json")
-		b, _ := json.MarshalIndent(codecJSON{Name: "codec", CodecBenchResult: r}, "", "  ")
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "catsbench: write %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Printf("   wrote %s\n\n", path)
-	}
-	if gate != "" {
-		gateCodec(gate, r)
-	}
-}
-
-// gateCodec fails the run when the binary codec comparison is inert (a
-// binary arm encoded zero binary frames — the swap never engaged and both
-// arms measured gob), when a gob arm was contaminated with binary frames,
-// when binary stops beating gob+zlib on the loopback quorum workload
-// (small tolerance for machine noise), or when the loopback binary
-// throughput regresses more than 10% below the checked-in baseline.
-func gateCodec(baselinePath string, r experiments.CodecBenchResult) {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "catsbench: codec gate baseline: %v\n", err)
-		os.Exit(1)
-	}
-	var base codecJSON
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "catsbench: codec gate baseline: %v\n", err)
-		os.Exit(1)
-	}
-	for _, a := range r.Arms {
-		switch a.Codec {
-		case "binary":
-			if a.BinaryEncoded == 0 {
-				fmt.Fprintf(os.Stderr, "catsbench: codec gate FAIL: %s/binary arm encoded zero binary frames — A/B inert\n", a.Transport)
-				os.Exit(1)
-			}
-		default:
-			if a.BinaryEncoded != 0 {
-				fmt.Fprintf(os.Stderr, "catsbench: codec gate FAIL: %s/%s arm encoded %d binary frames — arms contaminated\n",
-					a.Transport, a.Codec, a.BinaryEncoded)
-				os.Exit(1)
-			}
-		}
-		if a.FailedOps != 0 {
-			fmt.Fprintf(os.Stderr, "catsbench: codec gate FAIL: %s/%s arm had %d failed ops\n", a.Transport, a.Codec, a.FailedOps)
-			os.Exit(1)
-		}
-	}
-	bin := r.Arm("loopback", "binary")
-	gob := r.Arm("loopback", "gob+zlib")
-	if bin == nil || gob == nil {
-		fmt.Fprintln(os.Stderr, "catsbench: codec gate FAIL: loopback arms missing from result")
-		os.Exit(1)
-	}
-	// Binary must stay at least on par with gob+zlib on the quorum
-	// workload; 5% tolerance absorbs shared-runner noise without letting a
-	// real inversion through.
-	if bin.OpsPS < 0.95*gob.OpsPS {
-		fmt.Fprintf(os.Stderr, "catsbench: codec gate FAIL: loopback binary %.0f ops/s fell below gob+zlib %.0f\n",
-			bin.OpsPS, gob.OpsPS)
-		os.Exit(1)
-	}
-	var baseBin float64
-	if b := base.Arm("loopback", "binary"); b != nil {
-		baseBin = b.OpsPS
-	}
-	floor := 0.9 * baseBin
-	fmt.Printf("   codec gate: loopback binary %.0f ops/s vs baseline %.0f (floor %.0f), gob+zlib %.0f\n",
-		bin.OpsPS, baseBin, floor, gob.OpsPS)
-	if baseBin > 0 && bin.OpsPS < floor {
-		fmt.Fprintf(os.Stderr, "catsbench: codec gate FAIL: loopback binary ops/s regressed >10%% (measured %.0f < floor %.0f)\n",
-			bin.OpsPS, floor)
-		os.Exit(1)
-	}
-	fmt.Println("   codec gate: PASS")
 }

@@ -40,7 +40,7 @@ import (
 
 func main() {
 	var (
-		mode    = flag.String("mode", "sim", "execution mode: sim | local | chaos | gray | recovery | codecswap")
+		mode    = flag.String("mode", "sim", "execution mode: sim | local | chaos | gray | recovery")
 		seed    = flag.Int64("seed", 42, "random seed (schedule and simulation)")
 		boot    = flag.Int("boot", 100, "nodes joined by the boot process")
 		churn   = flag.Int("churn", 50, "churn events (half joins, half failures)")
@@ -64,10 +64,6 @@ func main() {
 	}
 	if *mode == "recovery" {
 		runRecovery(*seed, *phase, *walDir)
-		return
-	}
-	if *mode == "codecswap" {
-		runCodecSwap(*seed)
 		return
 	}
 
@@ -167,42 +163,6 @@ func runChaos(seed int64, trace, long bool, walDir string) {
 		fmt.Fprintln(os.Stderr, "catssim chaos: FAILED (durable run produced no WAL activity)")
 		os.Exit(1)
 	}
-}
-
-// runCodecSwap runs the live wire-codec swap scenario
-// (experiments.CodecSwap) and exits non-zero unless the history is
-// linearizable with zero lost acked writes, zero codec round-trip errors,
-// AND the swap machinery demonstrably engaged: swaps were applied under
-// traffic and frames crossed the wire in both the binary and gob formats.
-// An inert run — no swaps, or a single-format frame mix — is a failure.
-// Output is purely virtual-time derived; two runs with one seed must print
-// byte-identical reports, which CI diffs.
-func runCodecSwap(seed int64) {
-	r := experiments.CodecSwap(seed, experiments.CodecSwapConfig{})
-	fmt.Printf("catssim codecswap: seed=%d nodes=%d keys=%d simulated=%v events=%d execs=%d\n",
-		seed, r.Nodes, r.Keys, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
-	fmt.Printf("  acked_puts=%d ok_gets=%d failed_puts=%d failed_gets=%d unresolved=%d\n",
-		r.AckedPuts, r.OKGets, r.FailedPuts, r.FailedGets, r.UnresolvedOps)
-	fmt.Printf("  codec_swaps=%d binary_frames=%d gob_frames=%d codec_errors=%d flaps=%d\n",
-		r.CodecSwaps, r.BinaryFrames, r.GobFrames, r.CodecErrors, r.Flaps)
-	fmt.Printf("  linearizable=%t lost_acked_writes=%d trace_digest=%016x\n",
-		r.Linearizable, r.LostAckedWrites, r.TraceDigest)
-	switch {
-	case !r.Linearizable:
-		fmt.Fprintf(os.Stderr, "catssim codecswap: FAILED (non-linearizable key %q)\n", r.NonLinearizableKey)
-	case r.LostAckedWrites != 0:
-		fmt.Fprintf(os.Stderr, "catssim codecswap: FAILED (%d lost acked writes)\n", r.LostAckedWrites)
-	case r.CodecErrors != 0:
-		fmt.Fprintf(os.Stderr, "catssim codecswap: FAILED (%d codec round-trip errors)\n", r.CodecErrors)
-	case r.CodecSwaps == 0:
-		fmt.Fprintln(os.Stderr, "catssim codecswap: FAILED (inert: no swaps applied)")
-	case r.BinaryFrames == 0 || r.GobFrames == 0:
-		fmt.Fprintf(os.Stderr, "catssim codecswap: FAILED (inert: frame mix binary=%d gob=%d)\n",
-			r.BinaryFrames, r.GobFrames)
-	default:
-		return
-	}
-	os.Exit(1)
 }
 
 // runGray runs the gray-failure scenario (experiments.Gray) and exits

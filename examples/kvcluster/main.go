@@ -38,9 +38,7 @@ func (c *client) Setup(ctx *core.Ctx) {
 
 func main() {
 	const n = 5
-	registry := network.NewLoopbackRegistry(
-		network.WithCodec(network.Codec{Compress: true}), // full marshalling path
-	)
+	registry := network.NewLoopbackRegistry(network.WithSerialization()) // full marshalling path
 	env := cats.LoopbackEnv{Registry: registry}
 
 	rt := core.New()

@@ -115,14 +115,6 @@ type nackMsg struct {
 	RetryAfter time.Duration
 }
 
-func init() {
-	network.Register(readMsg{})
-	network.Register(readAckMsg{})
-	network.Register(writeMsg{})
-	network.Register(writeAckMsg{})
-	network.Register(nackMsg{})
-}
-
 type opTimeout struct {
 	timer.Timeout
 	OpID uint64

@@ -76,11 +76,6 @@ type opBatchAckMsg struct {
 	WriteAcks []writeAckEntry
 }
 
-func init() {
-	network.Register(opBatchMsg{})
-	network.Register(opBatchAckMsg{})
-}
-
 // flushTimeout drains the coordinator's pending per-peer batches. It is
 // scheduled with zero delay: in the deterministic simulation it fires at
 // the current virtual time after already-queued handler executions, and

@@ -1,7 +1,6 @@
 package abd
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/kvstore"
@@ -9,15 +8,15 @@ import (
 	"repro/internal/tracing"
 )
 
-// Binary wire-set implementations for the ABD quorum messages: the
-// hot-path frame types the zero-allocation codec handles natively
-// (everything else falls back to gob). Each AppendWire is the exact
-// inverse of its registered decoder; the layouts are fixed-width
-// big-endian integers with u32-length-prefixed keys and values, built
-// from the shared network.Append*/WireReader primitives so bounds
-// handling (and its fuzz coverage) is common. The embedded trace context
-// is encoded like any other field — both codecs stamp frames with the
-// same span identity.
+// Wire forms of the ABD quorum messages, the hot-path frame types. Each
+// AppendWire is the exact inverse of its registered decoder; the layouts
+// are fixed-width big-endian integers with u32-length-prefixed keys and
+// values, built from the shared network.Append*/WireReader primitives so
+// bounds handling (and its fuzz coverage) is common. The embedded trace
+// context is encoded like any other field. Decoded keys and values alias
+// the frame, except what outlives the handler: a write's key and value
+// (the replica stores them) and a read ack's value (the coordinator
+// returns it), which are copied out of the frame.
 
 // Wire tags 0x01–0x07 are the ABD quorum set (handoff owns 0x10–0x11).
 const (
@@ -59,16 +58,6 @@ func readTrace(r *network.WireReader) tracing.Context {
 	return tracing.Context{TraceID: r.U64(), SpanID: r.U64()}
 }
 
-// guardCount rejects a corrupt element count that promises more entries
-// than the remaining body could possibly hold (minSize bytes each),
-// before any slice is allocated for it.
-func guardCount(r *network.WireReader, n uint32, minSize int) error {
-	if int64(n)*int64(minSize) > int64(r.Len()) {
-		return fmt.Errorf("abd: wire count %d exceeds body", n)
-	}
-	return nil
-}
-
 func (m readMsg) WireTag() byte { return wireTagRead }
 
 func (m readMsg) AppendWire(dst []byte) []byte {
@@ -80,7 +69,7 @@ func (m readMsg) AppendWire(dst []byte) []byte {
 	return network.AppendString(dst, m.Key)
 }
 
-func decodeReadMsg(r *network.WireReader) (network.Message, error) {
+func decodeReadMsg(r *network.WireReader) network.Message {
 	var m readMsg
 	m.Header = r.Header()
 	m.Context = readTrace(r)
@@ -88,7 +77,7 @@ func decodeReadMsg(r *network.WireReader) (network.Message, error) {
 	m.Attempt = int(r.I64())
 	m.Epoch = r.U64()
 	m.Key = r.String()
-	return m, nil
+	return m
 }
 
 func (m readAckMsg) WireTag() byte { return wireTagReadAck }
@@ -103,16 +92,16 @@ func (m readAckMsg) AppendWire(dst []byte) []byte {
 	return network.AppendBool(dst, m.Found)
 }
 
-func decodeReadAckMsg(r *network.WireReader) (network.Message, error) {
+func decodeReadAckMsg(r *network.WireReader) network.Message {
 	var m readAckMsg
 	m.Header = r.Header()
 	m.OpID = r.U64()
 	m.Attempt = int(r.I64())
 	m.Epoch = r.U64()
 	m.Version = readVersion(r)
-	m.Value = r.Bytes()
+	m.Value = r.OwnedBytes()
 	m.Found = r.Bool()
-	return m, nil
+	return m
 }
 
 func (m writeMsg) WireTag() byte { return wireTagWrite }
@@ -128,17 +117,17 @@ func (m writeMsg) AppendWire(dst []byte) []byte {
 	return network.AppendBytes(dst, m.Value)
 }
 
-func decodeWriteMsg(r *network.WireReader) (network.Message, error) {
+func decodeWriteMsg(r *network.WireReader) network.Message {
 	var m writeMsg
 	m.Header = r.Header()
 	m.Context = readTrace(r)
 	m.OpID = r.U64()
 	m.Attempt = int(r.I64())
 	m.Epoch = r.U64()
-	m.Key = r.String()
+	key := r.String()
 	m.Version = readVersion(r)
-	m.Value = r.Bytes()
-	return m, nil
+	m.Key, m.Value = network.Own(key, r.Bytes())
+	return m
 }
 
 func (m writeAckMsg) WireTag() byte { return wireTagWriteAck }
@@ -150,13 +139,13 @@ func (m writeAckMsg) AppendWire(dst []byte) []byte {
 	return network.AppendU64(dst, m.Epoch)
 }
 
-func decodeWriteAckMsg(r *network.WireReader) (network.Message, error) {
+func decodeWriteAckMsg(r *network.WireReader) network.Message {
 	var m writeAckMsg
 	m.Header = r.Header()
 	m.OpID = r.U64()
 	m.Attempt = int(r.I64())
 	m.Epoch = r.U64()
-	return m, nil
+	return m
 }
 
 func (m nackMsg) WireTag() byte { return wireTagNack }
@@ -170,7 +159,7 @@ func (m nackMsg) AppendWire(dst []byte) []byte {
 	return network.AppendI64(dst, int64(m.RetryAfter))
 }
 
-func decodeNackMsg(r *network.WireReader) (network.Message, error) {
+func decodeNackMsg(r *network.WireReader) network.Message {
 	var m nackMsg
 	m.Header = r.Header()
 	m.OpID = r.U64()
@@ -178,7 +167,7 @@ func decodeNackMsg(r *network.WireReader) (network.Message, error) {
 	m.Epoch = r.U64()
 	m.Busy = r.Bool()
 	m.RetryAfter = time.Duration(r.I64())
-	return m, nil
+	return m
 }
 
 func (m opBatchMsg) WireTag() byte { return wireTagOpBatch }
@@ -209,16 +198,12 @@ func (m opBatchMsg) AppendWire(dst []byte) []byte {
 	return dst
 }
 
-func decodeOpBatchMsg(r *network.WireReader) (network.Message, error) {
+func decodeOpBatchMsg(r *network.WireReader) network.Message {
 	var m opBatchMsg
 	m.Header = r.Header()
 	m.Context = readTrace(r)
-	nr := r.U32()
 	// A readPhase is at least trace(16)+op(8)+attempt(8)+epoch(8)+len(4).
-	if err := guardCount(r, nr, 44); err != nil {
-		return nil, err
-	}
-	if nr > 0 {
+	if nr := r.Count(44); nr > 0 {
 		m.Reads = make([]readPhase, nr)
 		for i := range m.Reads {
 			p := &m.Reads[i]
@@ -229,12 +214,8 @@ func decodeOpBatchMsg(r *network.WireReader) (network.Message, error) {
 			p.Key = r.String()
 		}
 	}
-	nw := r.U32()
 	// A writePhase adds version(16)+value len(4) to the readPhase minimum.
-	if err := guardCount(r, nw, 64); err != nil {
-		return nil, err
-	}
-	if nw > 0 {
+	if nw := r.Count(64); nw > 0 {
 		m.Writes = make([]writePhase, nw)
 		for i := range m.Writes {
 			p := &m.Writes[i]
@@ -242,12 +223,12 @@ func decodeOpBatchMsg(r *network.WireReader) (network.Message, error) {
 			p.OpID = r.U64()
 			p.Attempt = int(r.I64())
 			p.Epoch = r.U64()
-			p.Key = r.String()
+			key := r.String()
 			p.Version = readVersion(r)
-			p.Value = r.Bytes()
+			p.Key, p.Value = network.Own(key, r.Bytes())
 		}
 	}
-	return m, nil
+	return m
 }
 
 func (m opBatchAckMsg) WireTag() byte { return wireTagOpBatchAck }
@@ -273,31 +254,23 @@ func (m opBatchAckMsg) AppendWire(dst []byte) []byte {
 	return dst
 }
 
-func decodeOpBatchAckMsg(r *network.WireReader) (network.Message, error) {
+func decodeOpBatchAckMsg(r *network.WireReader) network.Message {
 	var m opBatchAckMsg
 	m.Header = r.Header()
 	m.Epoch = r.U64()
-	nr := r.U32()
 	// A readAckEntry is at least op(8)+attempt(8)+version(16)+len(4)+found(1).
-	if err := guardCount(r, nr, 37); err != nil {
-		return nil, err
-	}
-	if nr > 0 {
+	if nr := r.Count(37); nr > 0 {
 		m.ReadAcks = make([]readAckEntry, nr)
 		for i := range m.ReadAcks {
 			a := &m.ReadAcks[i]
 			a.OpID = r.U64()
 			a.Attempt = int(r.I64())
 			a.Version = readVersion(r)
-			a.Value = r.Bytes()
+			a.Value = r.OwnedBytes()
 			a.Found = r.Bool()
 		}
 	}
-	nw := r.U32()
-	if err := guardCount(r, nw, 16); err != nil {
-		return nil, err
-	}
-	if nw > 0 {
+	if nw := r.Count(16); nw > 0 {
 		m.WriteAcks = make([]writeAckEntry, nw)
 		for i := range m.WriteAcks {
 			a := &m.WriteAcks[i]
@@ -305,5 +278,5 @@ func decodeOpBatchAckMsg(r *network.WireReader) (network.Message, error) {
 			a.Attempt = int(r.I64())
 		}
 	}
-	return m, nil
+	return m
 }

@@ -1,12 +1,13 @@
 package abd
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/network"
+	"repro/internal/network/wiretest"
 	"repro/internal/tracing"
 )
 
@@ -17,13 +18,69 @@ func wireHeader() network.Header {
 	)
 }
 
-// TestABDWireRoundTrip drives every ABD quorum message through the binary
-// codec and back, checking field-exact equality: AppendWire and the
-// registered decoder must be exact inverses.
+// TestABDWireRoundTrip holds every ABD quorum message, edge cases
+// included, to the wire contract: field-exact round trip (AppendWire and
+// the registered decoder are exact inverses), an error at every
+// truncation, corrupt counts rejected before allocation, and 0 allocs/op
+// encode. Every ABD wire tag must have a sample.
 func TestABDWireRoundTrip(t *testing.T) {
+	wiretest.Check(t, "abd.", wireSamples()...)
+}
+
+// TestABDWireCorruptCounts pins the count guards: a batch frame whose
+// element count promises more entries than the body holds must error out
+// before any allocation sized by that count.
+func TestABDWireCorruptCounts(t *testing.T) {
+	payload, err := (network.Codec{}).Encode(opBatchMsg{Header: wireHeader()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reads count is the u32 right after tag+header+trace. Corrupt
+	// it to a huge value and decoding must fail cleanly.
+	corrupt := append([]byte(nil), payload...)
+	n := len(corrupt)
+	// Empty batch tail: reads count u32 + writes count u32 are the last 8.
+	corrupt[n-8], corrupt[n-7], corrupt[n-6], corrupt[n-5] = 0xff, 0xff, 0xff, 0xff
+	if _, err := network.DecodePayload(corrupt); err == nil {
+		t.Fatal("corrupt batch count decoded")
+	}
+	corrupt2 := append([]byte(nil), payload...)
+	corrupt2[n-4], corrupt2[n-3], corrupt2[n-2], corrupt2[n-1] = 0xff, 0xff, 0xff, 0xff
+	if _, err := network.DecodePayload(corrupt2); err == nil {
+		t.Fatal("corrupt write count decoded")
+	}
+}
+
+// TestABDWireEncodeZeroAlloc gates the quorum hot path: encoding a read
+// phase and its ack into a recycled buffer must not allocate.
+func TestABDWireEncodeZeroAlloc(t *testing.T) {
+	msgs := []network.Message{
+		readMsg{Header: wireHeader(), OpID: 1, Attempt: 1, Epoch: 2, Key: "k"},
+		readAckMsg{Header: wireHeader(), OpID: 1, Version: kvstore.Version{Seq: 1}, Value: make([]byte, 256), Found: true},
+		writeMsg{Header: wireHeader(), OpID: 2, Key: "k", Value: make([]byte, 256)},
+		writeAckMsg{Header: wireHeader(), OpID: 2},
+	}
+	buf := make([]byte, 0, 4096)
+	var c network.Codec
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, m := range msgs {
+			out, err := c.EncodeAppend(buf[:0], m)
+			if err != nil || len(out) == 0 {
+				t.Fatal("encode failed")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ABD wire encode allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// wireSamples is at least one message per ABD wire tag, with edge cases:
+// empty values stay nil, empty batches carry no slices.
+func wireSamples() []network.WireMessage {
 	tc := tracing.Context{TraceID: 0xfeed, SpanID: 0xbeef}
 	ver := kvstore.Version{Seq: 42, Writer: 7}
-	msgs := []network.Message{
+	return []network.WireMessage{
 		readMsg{Header: wireHeader(), Context: tc, OpID: 1, Attempt: 3, Epoch: 9, Key: "alpha"},
 		readAckMsg{Header: wireHeader(), OpID: 2, Attempt: 1, Epoch: 9, Version: ver, Value: []byte("v"), Found: true},
 		readAckMsg{Header: wireHeader(), OpID: 3, Epoch: 9, Found: false}, // empty value stays nil
@@ -50,68 +107,81 @@ func TestABDWireRoundTrip(t *testing.T) {
 			WriteAcks: []writeAckEntry{{OpID: 9, Attempt: 2}},
 		},
 	}
-	for _, m := range msgs {
-		payload, err := (network.BinaryCodec{}).Encode(m)
+}
+
+func FuzzABDWire(f *testing.F) {
+	wiretest.Seed(f, wireSamples()...)
+	f.Fuzz(wiretest.Fuzz)
+}
+
+// TestDecodedWritesOwnTheirBytes pins that what a replica stores and what
+// a coordinator returns does not alias the inbound frame: after the frame
+// buffer is overwritten, the stored keys and values and the read-ack
+// values are unchanged. An aliased record would also pin the whole frame,
+// and with it every other op of its batch, for as long as it is stored.
+func TestDecodedWritesOwnTheirBytes(t *testing.T) {
+	ver := kvstore.Version{Seq: 1, Writer: 1}
+	writes := []network.Message{
+		writeMsg{Header: wireHeader(), OpID: 1, Key: "single", Version: ver, Value: []byte("value-0")},
+		opBatchMsg{Header: wireHeader(), Writes: []writePhase{
+			{OpID: 2, Key: "batched-1", Version: ver, Value: []byte("value-1")},
+			{OpID: 3, Key: "batched-2", Version: ver, Value: []byte("value-2")},
+		}},
+	}
+	acks := []network.Message{
+		readAckMsg{Header: wireHeader(), OpID: 4, Version: ver, Value: []byte("ack-0"), Found: true},
+		opBatchAckMsg{Header: wireHeader(), ReadAcks: []readAckEntry{{OpID: 5, Version: ver, Value: []byte("ack-1"), Found: true}}},
+	}
+	store := kvstore.New()
+	want := map[string]string{}
+	var kept [][]byte
+	var frames [][]byte
+	for _, m := range append(writes, acks...) {
+		payload, err := network.Codec{}.Encode(m)
 		if err != nil {
-			t.Fatalf("%T encode: %v", m, err)
+			t.Fatal(err)
 		}
-		if !network.IsBinaryPayload(payload) {
-			t.Fatalf("%T did not use the binary wire format", m)
-		}
+		frames = append(frames, payload)
 		got, err := network.DecodePayload(payload)
 		if err != nil {
-			t.Fatalf("%T decode: %v", m, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%T round trip mismatch:\n got  %+v\n want %+v", m, got, m)
-		}
-	}
-}
-
-// TestABDWireCorruptCounts pins the count guards: a batch frame whose
-// element count promises more entries than the body holds must error out
-// before any allocation sized by that count.
-func TestABDWireCorruptCounts(t *testing.T) {
-	payload, err := (network.BinaryCodec{}).Encode(opBatchMsg{Header: wireHeader()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reads count is the u32 right after flag+tag+header+trace. Corrupt
-	// it to a huge value and decoding must fail cleanly.
-	corrupt := append([]byte(nil), payload...)
-	n := len(corrupt)
-	// Empty batch tail: reads count u32 + writes count u32 are the last 8.
-	corrupt[n-8], corrupt[n-7], corrupt[n-6], corrupt[n-5] = 0xff, 0xff, 0xff, 0xff
-	if _, err := network.DecodePayload(corrupt); err == nil {
-		t.Fatal("corrupt batch count decoded")
-	}
-	corrupt2 := append([]byte(nil), payload...)
-	corrupt2[n-4], corrupt2[n-3], corrupt2[n-2], corrupt2[n-1] = 0xff, 0xff, 0xff, 0xff
-	if _, err := network.DecodePayload(corrupt2); err == nil {
-		t.Fatal("corrupt write count decoded")
-	}
-}
-
-// TestABDWireEncodeZeroAlloc gates the quorum hot path: encoding a read
-// phase and its ack into a recycled buffer must not allocate.
-func TestABDWireEncodeZeroAlloc(t *testing.T) {
-	msgs := []network.Message{
-		readMsg{Header: wireHeader(), OpID: 1, Attempt: 1, Epoch: 2, Key: "k"},
-		readAckMsg{Header: wireHeader(), OpID: 1, Version: kvstore.Version{Seq: 1}, Value: make([]byte, 256), Found: true},
-		writeMsg{Header: wireHeader(), OpID: 2, Key: "k", Value: make([]byte, 256)},
-		writeAckMsg{Header: wireHeader(), OpID: 2},
-	}
-	buf := make([]byte, 0, 4096)
-	var c network.BinaryCodec
-	allocs := testing.AllocsPerRun(200, func() {
-		for _, m := range msgs {
-			out, err := c.EncodeAppend(buf[:0], m)
-			if err != nil || len(out) == 0 {
-				t.Fatal("encode failed")
+		switch d := got.(type) {
+		case writeMsg:
+			want[d.Key] = string(d.Value)
+			if _, err := store.ApplyDurable(d.Key, d.Version, d.Value); err != nil {
+				t.Fatal(err)
 			}
+		case opBatchMsg:
+			for _, p := range d.Writes {
+				want[p.Key] = string(p.Value)
+				if _, err := store.ApplyDurable(p.Key, p.Version, p.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case readAckMsg:
+			kept = append(kept, d.Value)
+		case opBatchAckMsg:
+			kept = append(kept, d.ReadAcks[0].Value)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("ABD wire encode allocates %.1f/op, want 0", allocs)
+	}
+	for _, f := range frames {
+		for i := range f {
+			f[i] = 0xAA
+		}
+	}
+	for key, value := range want {
+		_, got, ok := store.Read(key)
+		if !ok || string(got) != value {
+			t.Fatalf("stored %q = %q (found %v) after the frame was overwritten, want %q", key, got, ok, value)
+		}
+	}
+	if len(store.Keys()) != len(want) {
+		t.Fatalf("store keys %q changed with the frame", store.Keys())
+	}
+	for i, v := range kept {
+		if want := fmt.Sprintf("ack-%d", i); string(v) != want {
+			t.Fatalf("read-ack value %d = %q after the frame was overwritten, want %q", i, v, want)
+		}
 	}
 }

@@ -57,12 +57,6 @@ type keepaliveMsg struct {
 	Node ident.NodeRef
 }
 
-func init() {
-	network.Register(getPeersMsg{})
-	network.Register(peersMsg{})
-	network.Register(keepaliveMsg{})
-}
-
 type retryTimeout struct{ timer.Timeout }
 type keepaliveTimeout struct{ timer.Timeout }
 type evictTimeout struct{ timer.Timeout }

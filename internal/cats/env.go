@@ -55,27 +55,14 @@ var _ Env = LoopbackEnv{}
 
 // TCPEnv executes nodes over real TCP sockets with real timers — the
 // production deployment mode.
-type TCPEnv struct {
-	// Compress enables zlib message compression.
-	Compress bool
-	// WireCodec names the wire codec backend ("gob", "gob+zlib", "binary");
-	// empty keeps the transport default. Takes precedence over Compress.
-	WireCodec string
-}
+type TCPEnv struct{}
 
 // NewTransport implements Env.
-func (e TCPEnv) NewTransport(addr network.Address) core.Definition {
-	var opts []network.TCPOption
-	if e.Compress {
-		opts = append(opts, network.WithCompression())
-	}
-	if e.WireCodec != "" {
-		opts = append(opts, network.WithWireCodecName(e.WireCodec))
-	}
-	return network.NewTCP(addr, opts...)
+func (TCPEnv) NewTransport(addr network.Address) core.Definition {
+	return network.NewTCP(addr)
 }
 
 // NewTimer implements Env.
-func (e TCPEnv) NewTimer() core.Definition { return timer.NewReal() }
+func (TCPEnv) NewTimer() core.Definition { return timer.NewReal() }
 
 var _ Env = TCPEnv{}

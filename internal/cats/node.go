@@ -90,11 +90,6 @@ type NodeConfig struct {
 	// NoCoalesce disables ABD quorum coalescing, sending every quorum
 	// phase as its own message (A/B benchmarking).
 	NoCoalesce bool
-	// WireCodec names the wire-format backend the node's transport encodes
-	// outbound frames with ("gob", "gob+zlib", "binary"); empty keeps the
-	// environment default. Decoding is codec-agnostic, so nodes with
-	// different settings interoperate.
-	WireCodec string
 
 	// Gray-failure resilience knobs, passed through to the ABD component
 	// (see abd.Config for semantics and defaults). DeadlineFloor and

@@ -1,6 +1,7 @@
 package cats
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -40,8 +41,11 @@ func (c *tcpClient) Setup(ctx *core.Ctx) {
 
 // TestProductionTCPCluster runs a 3-node CATS cluster over real TCP
 // sockets on localhost — the full production path: dial-on-demand
-// connection management, length-prefixed framing, gob serialization —
-// and performs linearizable puts and gets across coordinators.
+// connection management, length-prefixed framing, the binary wire codec
+// for every message (join, stabilization, failure detection, gossip,
+// quorum phases) — and performs linearizable puts and gets across
+// coordinators. No encode may be refused for a missing wire tag and no
+// inbound payload may fail to decode.
 func TestProductionTCPCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -52,6 +56,7 @@ func TestProductionTCPCluster(t *testing.T) {
 		refs[i] = ident.NodeRef{Key: ident.Key(uint64(i+1) << 60), Addr: freeTCPAddr(t)}
 	}
 
+	before := network.GlobalMetrics()
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
 	defer rt.Shutdown()
 	env := TCPEnv{}
@@ -100,23 +105,38 @@ func TestProductionTCPCluster(t *testing.T) {
 	}
 	time.Sleep(time.Second) // membership tables
 
-	// Put via node 0, get via node 2.
-	clients[0].ctx.Trigger(abd.PutRequest{ReqID: NextReqID(), Key: "tcp-key", Value: []byte("over-sockets")}, clients[0].target)
-	select {
-	case resp := <-clients[0].puts:
-		if resp.Err != "" {
-			t.Fatalf("put: %s", resp.Err)
+	// Put via each node, get each key via the next node.
+	for i := 0; i < 6; i++ {
+		put, get := clients[i%n], clients[(i+1)%n]
+		key, value := fmt.Sprintf("tcp-key-%d", i), fmt.Sprintf("over-sockets-%d", i)
+		put.ctx.Trigger(abd.PutRequest{ReqID: NextReqID(), Key: key, Value: []byte(value)}, put.target)
+		select {
+		case resp := <-put.puts:
+			if resp.Err != "" {
+				t.Fatalf("put %s: %s", key, resp.Err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("put %s timed out", key)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("put timed out")
+		get.ctx.Trigger(abd.GetRequest{ReqID: NextReqID(), Key: key}, get.target)
+		select {
+		case resp := <-get.gets:
+			if resp.Err != "" || !resp.Found || string(resp.Value) != value {
+				t.Fatalf("get %s: %+v", key, resp)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("get %s timed out", key)
+		}
 	}
-	clients[2].ctx.Trigger(abd.GetRequest{ReqID: NextReqID(), Key: "tcp-key"}, clients[2].target)
-	select {
-	case resp := <-clients[2].gets:
-		if resp.Err != "" || !resp.Found || string(resp.Value) != "over-sockets" {
-			t.Fatalf("get: %+v", resp)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("get timed out")
+
+	after := network.GlobalMetrics()
+	if after.EncodedMsgs == before.EncodedMsgs || after.DecodedMsgs == before.DecodedMsgs {
+		t.Fatal("no message crossed the wire codec")
+	}
+	if refused := after.CodecFallbacks - before.CodecFallbacks; refused != 0 {
+		t.Fatalf("%d encodes refused for a missing wire tag", refused)
+	}
+	if bad := after.DecodeErrors - before.DecodeErrors; bad != 0 {
+		t.Fatalf("%d inbound payloads failed to decode", bad)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -17,19 +18,31 @@ type Channel struct {
 
 	// pass caches the two live endpoints for lock-free pass-through
 	// forwarding. It is non-nil exactly while the channel is a plain pipe —
-	// both ends plugged and not held — and nil whenever any reconfiguration
-	// state forces the locked slow path. Mutators republish it under mu
-	// (updatePassLocked), so the broadcast hot path costs one atomic load
-	// and a pointer compare per channel instead of a mutex round trip.
+	// both ends plugged, not held, and nothing queued or being drained —
+	// and nil whenever any reconfiguration state forces the locked slow
+	// path. Mutators republish it under mu (updatePassLocked), so the
+	// broadcast hot path costs one atomic load and a pointer compare per
+	// channel instead of a mutex round trip.
 	pass atomic.Pointer[chanEnds]
 
-	mu   sync.Mutex
-	ends [2]*Port // endpoint halves; an unplugged end is nil
-	held bool
-	// queue holds events that arrived while the channel was held or while
-	// the destination end was unplugged, in arrival order. dstEnd records
-	// which endpoint slot each event was heading to.
-	queue []queuedEvent
+	// inflight counts deliveries that passed the channel but have not yet
+	// reached their destination queues: fast-path forwards between their
+	// pass load and the enqueue (for batched fan-out, until the batch is
+	// flushed), and slow-path or drain deliveries made outside mu. Hold and
+	// Unplug wait for it to reach zero, so once they return no event can
+	// still land at the old endpoint.
+	inflight atomic.Int64
+
+	mu       sync.Mutex
+	ends     [2]*Port // endpoint halves; an unplugged end is nil
+	held     bool
+	draining bool // a drainLocked loop is delivering queued events
+	// queue holds events that arrived while the channel was held, drained,
+	// or while the destination end was unplugged, in arrival order. dstEnd
+	// records which endpoint slot each event was heading to; queued counts
+	// the entries per slot.
+	queue  []queuedEvent
+	queued [2]int
 }
 
 // chanEnds is an immutable snapshot of a live channel's endpoints. Port
@@ -110,24 +123,31 @@ func (ch *Channel) Ends() (a, b *Port) {
 // scheduler locality hint of the originating trigger, threaded through the
 // synchronous forwarding chain (see Port.deliver).
 func (ch *Channel) forward(ev Event, from *Port, hint *worker) {
+	ch.inflight.Add(1)
 	if ce := ch.pass.Load(); ce != nil {
 		if dst := ce.otherOf(from); dst != nil {
 			dst.deliver(ev, hint)
+			ch.inflight.Add(-1)
 			return
 		}
 	}
+	ch.inflight.Add(-1)
 	ch.forwardSlow(ev, from, hint, nil)
 }
 
 // forwardInto is forward inside an ongoing batch collection: the far side's
-// fan-out joins the same batch.
+// fan-out joins the same batch, which keeps the channel's in-flight count
+// until it is flushed.
 func (ch *Channel) forwardInto(ev Event, from *Port, hint *worker, b *fanoutBatch) {
+	ch.inflight.Add(1)
 	if ce := ch.pass.Load(); ce != nil {
 		if dst := ce.otherOf(from); dst != nil {
 			dst.deliverInto(ev, hint, b)
+			b.pins = append(b.pins, ch)
 			return
 		}
 	}
+	ch.inflight.Add(-1)
 	ch.forwardSlow(ev, from, hint, b)
 }
 
@@ -137,43 +157,69 @@ func (ch *Channel) forwardInto(ev Event, from *Port, hint *worker, b *fanoutBatc
 // under a single lock acquisition, so no concurrent forward can interleave
 // inside the batch and Resume replays it contiguously.
 func (ch *Channel) forwardSlice(evs []Event, from *Port, hint *worker, b *fanoutBatch) {
+	ch.inflight.Add(1)
 	if ce := ch.pass.Load(); ce != nil {
 		if dst := ce.otherOf(from); dst != nil {
 			dst.deliverSliceInto(evs, hint, b)
+			b.pins = append(b.pins, ch)
 			return
 		}
 	}
+	ch.inflight.Add(-1)
 	ch.mu.Lock()
 	dstEnd := ch.slowDstEndLocked(from)
-	if ch.held || ch.ends[dstEnd] == nil {
+	if ch.mustQueueLocked(dstEnd) {
 		for _, ev := range evs {
 			ch.queue = append(ch.queue, queuedEvent{event: ev, dstEnd: dstEnd})
 		}
+		ch.queued[dstEnd] += len(evs)
 		ch.mu.Unlock()
 		return
 	}
 	dst := ch.ends[dstEnd]
+	ch.inflight.Add(1)
 	ch.mu.Unlock()
 	dst.deliverSliceInto(evs, hint, b)
+	b.pins = append(b.pins, ch)
 }
 
 // forwardSlow is the locked forwarding path, taken whenever the channel is
-// not a plain live pipe (held, partially unplugged, or racing a reconfig).
-// When b is non-nil the delivery joins that batch.
+// not a plain live pipe (held, partially unplugged, draining, or racing a
+// reconfig). When b is non-nil the delivery joins that batch.
 func (ch *Channel) forwardSlow(ev Event, from *Port, hint *worker, b *fanoutBatch) {
 	ch.mu.Lock()
 	dstEnd := ch.slowDstEndLocked(from)
-	if ch.held || ch.ends[dstEnd] == nil {
+	if ch.mustQueueLocked(dstEnd) {
 		ch.queue = append(ch.queue, queuedEvent{event: ev, dstEnd: dstEnd})
+		ch.queued[dstEnd]++
 		ch.mu.Unlock()
 		return
 	}
 	dst := ch.ends[dstEnd]
+	ch.inflight.Add(1)
 	ch.mu.Unlock()
 	if b != nil {
 		dst.deliverInto(ev, hint, b)
+		b.pins = append(b.pins, ch)
 	} else {
 		dst.deliver(ev, hint)
+		ch.inflight.Add(-1)
+	}
+}
+
+// mustQueueLocked reports whether an event heading to slot dstEnd has to
+// wait in the queue: the channel is held, the end is unplugged, or earlier
+// events are still queued or being drained — delivering it directly would
+// overtake them. Called with ch.mu held.
+func (ch *Channel) mustQueueLocked(dstEnd int) bool {
+	return ch.held || ch.draining || ch.ends[dstEnd] == nil || ch.queued[dstEnd] > 0
+}
+
+// awaitInflight waits until every delivery that already passed the
+// channel has reached its destination queue.
+func (ch *Channel) awaitInflight() {
+	for ch.inflight.Load() != 0 {
+		runtime.Gosched()
 	}
 }
 
@@ -197,7 +243,7 @@ func (ch *Channel) slowDstEndLocked(from *Port) int {
 // updatePassLocked republishes the lock-free pass-through snapshot after a
 // state mutation. Called with ch.mu held.
 func (ch *Channel) updatePassLocked() {
-	if !ch.held && ch.ends[0] != nil && ch.ends[1] != nil {
+	if !ch.held && !ch.draining && len(ch.queue) == 0 && ch.ends[0] != nil && ch.ends[1] != nil {
 		ch.pass.Store(&chanEnds{a: ch.ends[0], b: ch.ends[1]})
 	} else {
 		ch.pass.Store(nil)
@@ -217,12 +263,15 @@ func (ch *Channel) endIndexOfOther(p *Port) int {
 }
 
 // Hold puts the channel on hold: it stops forwarding events and starts
-// queueing them in both directions.
+// queueing them in both directions. It returns once every event that had
+// already passed the channel sits in its destination's queue, so nothing
+// forwarded before the hold can reach an endpoint afterwards.
 func (ch *Channel) Hold() {
 	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	ch.held = true
 	ch.updatePassLocked()
+	ch.mu.Unlock()
+	ch.awaitInflight()
 }
 
 // Held reports whether the channel is currently on hold.
@@ -246,24 +295,28 @@ func (ch *Channel) QueuedLen() int {
 func (ch *Channel) Resume() {
 	ch.mu.Lock()
 	ch.held = false
-	ch.updatePassLocked()
 	ch.drainLocked()
 }
 
-// drainLocked flushes deliverable queued events. It is called with ch.mu
-// held and releases it before returning. Delivery happens outside the lock
-// (present may re-enter forward on this same channel via port graphs), so
-// events arriving concurrently are appended behind the batch being flushed,
-// preserving FIFO per direction. Maximal consecutive runs headed to the
+// drainLocked flushes deliverable queued events and then republishes the
+// pass-through snapshot. It is called with ch.mu held and releases it
+// before returning. Delivery happens outside the lock (present may
+// re-enter forward on this same channel via port graphs); while the drain
+// runs, concurrent forwards append behind the queue instead of delivering
+// directly, so FIFO per direction holds, and only the empty queue
+// republishes the lock-free path. Maximal consecutive runs headed to the
 // same end are replayed as one batch, so a batch that was buffered whole by
-// a held channel leaves it whole, in order, on Resume.
+// a held channel leaves it whole, in order, on Resume. A second caller
+// while a drain is under way returns at once: the running drain picks up
+// everything queued behind it.
 func (ch *Channel) drainLocked() {
+	if ch.draining {
+		ch.mu.Unlock()
+		return
+	}
+	ch.draining = true
 	var run []Event // drain-local scratch; reconfig path, allocation is fine
-	for {
-		if ch.held || len(ch.queue) == 0 {
-			ch.mu.Unlock()
-			return
-		}
+	for !ch.held && len(ch.queue) > 0 {
 		// Find the first deliverable event (its destination end plugged).
 		idx := -1
 		for i, qe := range ch.queue {
@@ -273,8 +326,7 @@ func (ch *Channel) drainLocked() {
 			}
 		}
 		if idx < 0 {
-			ch.mu.Unlock()
-			return
+			break
 		}
 		dstEnd := ch.queue[idx].dstEnd
 		end := idx + 1
@@ -286,11 +338,17 @@ func (ch *Channel) drainLocked() {
 			run = append(run, qe.event)
 		}
 		ch.queue = append(ch.queue[:idx:idx], ch.queue[end:]...)
+		ch.queued[dstEnd] -= len(run)
 		dst := ch.ends[dstEnd]
+		ch.inflight.Add(1)
 		ch.mu.Unlock()
 		dst.deliverSlice(run, nil)
+		ch.inflight.Add(-1)
 		ch.mu.Lock()
 	}
+	ch.draining = false
+	ch.updatePassLocked()
+	ch.mu.Unlock()
 }
 
 // Unplug detaches the channel from endpoint half p. Events heading to the
@@ -315,6 +373,7 @@ func (ch *Channel) Unplug(p *Port) error {
 	ch.ends[slot] = nil
 	ch.updatePassLocked()
 	ch.mu.Unlock()
+	ch.awaitInflight()
 	p.pair.detachChannel(p.face, ch)
 	return nil
 }
@@ -373,6 +432,7 @@ func (ch *Channel) Disconnect() {
 	copy(ends[:], ch.ends[:])
 	ch.ends[0], ch.ends[1] = nil, nil
 	ch.queue = nil
+	ch.queued = [2]int{}
 	ch.updatePassLocked()
 	ch.mu.Unlock()
 	for _, e := range ends {

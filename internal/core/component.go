@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -457,6 +458,20 @@ func (c *Component) onStop() {
 	}
 	for _, child := range c.Children() {
 		child.Control().present(Stop{})
+	}
+}
+
+// passivate stops the component synchronously, for Swap: it passivates
+// the component (so no worker starts another main-queue event), queues the
+// Stop event for its own Stop handlers and its subtree, and then waits
+// until a handler already running on another worker has returned. The
+// caller is never that worker: Swap runs in the parent's handler or
+// outside the runtime.
+func (c *Component) passivate() {
+	c.onStop()
+	c.Control().present(Stop{})
+	for c.sched.Load() == schedBusy {
+		runtime.Gosched()
 	}
 }
 

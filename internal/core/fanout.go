@@ -36,6 +36,10 @@ type fanoutBatch struct {
 	// ready collects the components that transitioned idle→ready during
 	// flush, in readiness order, for one batched scheduler submission.
 	ready []*Component
+	// pins lists one channel per forward whose delivery this batch carries;
+	// each holds an in-flight count on its channel until flush has enqueued
+	// the batch (see Channel.inflight).
+	pins []*Channel
 	// owner is the worker whose scratch this batch is, nil for freelist
 	// batches; inUse guards against re-entrant acquisition of the scratch.
 	owner *worker
@@ -66,6 +70,11 @@ func (b *fanoutBatch) flush(hint *worker) {
 		dest.enqueueRun(ents[i:j], b)
 		i = j
 	}
+	for _, ch := range b.pins {
+		ch.inflight.Add(-1)
+	}
+	clear(b.pins)
+	b.pins = b.pins[:0]
 	ready := b.ready
 	for i := 0; i < len(ready); {
 		rt := ready[i].rt

@@ -20,8 +20,9 @@ type StateLoader interface {
 
 // Swap replaces subcomponent old with a fresh instance of def, following
 // the paper's reconfiguration recipe: every channel connected to old's
-// ports (in the parent's scope) is put on hold and unplugged; old is
-// passivated; the new component is created and the channels are plugged
+// ports (in the parent's scope) is put on hold; old is passivated and
+// whatever handler it is running completes; the channels are unplugged; the
+// new component is created and the channels are plugged
 // into its corresponding ports and resumed; state is transferred when both
 // definitions support it (old implements StateDumper, def implements
 // StateLoader); the new component is started and old is destroyed.
@@ -42,7 +43,8 @@ func (x *Ctx) Swap(old *Component, name string, def Definition) (*Component, err
 
 	var moves []movedChannel
 
-	// 1. Hold and unplug every channel attached to old's outer halves.
+	// 1. Hold every channel attached to old's outer halves. Hold returns
+	// once nothing forwarded earlier is still on its way to old.
 	old.mu.Lock()
 	type portEntry struct {
 		pp       *portPair
@@ -63,19 +65,25 @@ func (x *Ctx) Swap(old *Component, name string, def Definition) (*Component, err
 		e.pp.mu.RUnlock()
 		for _, ch := range chans {
 			ch.Hold()
-			if err := ch.Unplug(e.pp.half(outer)); err != nil {
-				// Restore what we already moved and bail out.
-				x.undoSwapHolds(moves, old)
-				return nil, fmt.Errorf("core: Swap: unplug: %w", err)
-			}
-			moves = append(moves, movedChannel{ch: ch, pt: e.pp.typ, provided: e.provided})
+			moves = append(moves, movedChannel{ch: ch, half: e.pp.half(outer), pt: e.pp.typ, provided: e.provided})
 		}
 	}
 
-	// 2. Passivate the old component.
-	old.Control().present(Stop{})
+	// 2. Passivate the old component and wait out a handler it may be
+	// running on another worker. Events that handler triggers still reach
+	// the held channels, which are plugged into old until step 3, so they
+	// queue instead of vanishing; and the state dumped below includes them.
+	old.passivate()
 
-	// 3. Create the replacement and replug the channels.
+	// 3. Unplug the held channels from old.
+	for i, m := range moves {
+		if err := m.ch.Unplug(m.half); err != nil {
+			x.undoSwapHolds(moves[:i], moves[i:], old)
+			return nil, fmt.Errorf("core: Swap: unplug: %w", err)
+		}
+	}
+
+	// 4. Create the replacement and replug the channels.
 	repl := x.Create(name, def)
 	for _, m := range moves {
 		var half *Port
@@ -86,25 +94,25 @@ func (x *Ctx) Swap(old *Component, name string, def Definition) (*Component, err
 		}
 		if half == nil {
 			x.Destroy(repl)
-			x.undoSwapHolds(moves, old)
+			x.undoSwapHolds(moves, nil, old)
 			return nil, fmt.Errorf("core: Swap: replacement %s lacks %s port %s",
 				name, kindWord(m.provided), m.pt.Name())
 		}
 		if err := m.ch.Plug(half); err != nil {
 			x.Destroy(repl)
-			x.undoSwapHolds(moves, old)
+			x.undoSwapHolds(moves, nil, old)
 			return nil, fmt.Errorf("core: Swap: plug: %w", err)
 		}
 	}
 
-	// 4. Transfer state when supported.
+	// 5. Transfer state when supported.
 	if dumper, ok := old.def.(StateDumper); ok {
 		if loader, ok := repl.def.(StateLoader); ok {
 			loader.LoadState(dumper.DumpState())
 		}
 	}
 
-	// 5. Migrate events still queued at old (delivered before the hold but
+	// 6. Migrate events still queued at old (delivered before the hold but
 	// not yet executed) to the replacement's corresponding ports, in FIFO
 	// order. The replacement is still passive, so migrated events land in
 	// its queue ahead of the channel flush from Resume — preserving the
@@ -127,7 +135,7 @@ func (x *Ctx) Swap(old *Component, name string, def Definition) (*Component, err
 		np.pair.half(it.via.face.twin()).present(it.event)
 	}
 
-	// 6. Resume traffic (flushes events queued during the swap, FIFO),
+	// 7. Resume traffic (flushes events queued during the swap, FIFO),
 	// start the replacement, destroy the old component.
 	for _, m := range moves {
 		m.ch.Resume()
@@ -142,15 +150,17 @@ func (x *Ctx) Swap(old *Component, name string, def Definition) (*Component, err
 // the original on failure).
 type movedChannel struct {
 	ch       *Channel
+	half     *Port // old's outer half the channel was attached to
 	pt       *PortType
 	provided bool
 }
 
-// undoSwapHolds replugs already-moved channels back into old, resumes every
-// held channel, and reactivates old, restoring the pre-Swap state after a
-// failure. (Presenting Start to an already-active component is a no-op.)
-func (x *Ctx) undoSwapHolds(moves []movedChannel, old *Component) {
-	for _, m := range moves {
+// undoSwapHolds replugs the unplugged channels back into old, resumes
+// them and the merely held ones, and reactivates old, restoring the
+// pre-Swap state after a failure. (Presenting Start to an already-active
+// component is a no-op.)
+func (x *Ctx) undoSwapHolds(unplugged, held []movedChannel, old *Component) {
+	for _, m := range unplugged {
 		var half *Port
 		if m.provided {
 			half = old.Provided(m.pt)
@@ -160,6 +170,9 @@ func (x *Ctx) undoSwapHolds(moves []movedChannel, old *Component) {
 		if half != nil {
 			_ = m.ch.Plug(half)
 		}
+		m.ch.Resume()
+	}
+	for _, m := range held {
 		m.ch.Resume()
 	}
 	old.Control().present(Start{})

@@ -56,11 +56,6 @@ type shuffleReplyMsg struct {
 	Entries []descriptor
 }
 
-func init() {
-	network.Register(shuffleMsg{})
-	network.Register(shuffleReplyMsg{})
-}
-
 type shuffleTimeout struct{ timer.Timeout }
 
 // Config parameterizes a Cyclon overlay component.

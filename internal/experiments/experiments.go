@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,38 +133,11 @@ type LatencyResult struct {
 	Replication int
 	ValueSize   int
 	Ops         int
-	Codec       LatencyCodec
 	Mean        time.Duration
 	P50         time.Duration
 	P99         time.Duration
 	Max         time.Duration
 	SubMilli    float64 // fraction of ops under 1ms
-}
-
-// LatencyCodec selects the serialization model of the latency experiment.
-type LatencyCodec int
-
-const (
-	// CodecStream uses a persistent gob stream (per-connection codec, type
-	// descriptors amortized — the realistic long-lived-connection cost).
-	CodecStream LatencyCodec = iota + 1
-	// CodecPerMessage re-encodes type descriptors per message.
-	CodecPerMessage
-	// CodecPerMessageZlib additionally zlib-compresses every message.
-	CodecPerMessageZlib
-)
-
-func (c LatencyCodec) String() string {
-	switch c {
-	case CodecStream:
-		return "gob-stream"
-	case CodecPerMessage:
-		return "gob-msg"
-	case CodecPerMessageZlib:
-		return "gob-msg+zlib"
-	default:
-		return "unknown"
-	}
 }
 
 // Latency measures end-to-end put/get latency on a real-time in-process
@@ -174,17 +146,8 @@ func (c LatencyCodec) String() string {
 // serialization, 4× deserialization, plus runtime dispatching, per
 // operation). Background protocol periods are relaxed so the measurement
 // reflects the operation path, as on the paper's idle LAN cluster.
-func Latency(nodes, replication, valueSize, ops int, codec LatencyCodec) LatencyResult {
-	var opt network.LoopbackOption
-	switch codec {
-	case CodecPerMessage:
-		opt = network.WithCodec(network.Codec{})
-	case CodecPerMessageZlib:
-		opt = network.WithCodec(network.Codec{Compress: true})
-	default:
-		opt = network.WithStreamCodec()
-	}
-	registry := network.NewLoopbackRegistry(opt)
+func Latency(nodes, replication, valueSize, ops int) LatencyResult {
+	registry := network.NewLoopbackRegistry(network.WithSerialization())
 	cfg := cats.NodeConfig{
 		ReplicationDegree: replication,
 		FDInterval:        2 * time.Second,
@@ -230,7 +193,7 @@ func Latency(nodes, replication, valueSize, ops int, codec LatencyCodec) Latency
 	m := host.Metrics()
 	lat := append([]time.Duration(nil), m.OpLatencies...)
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	res := LatencyResult{Nodes: nodes, Replication: replication, ValueSize: valueSize, Ops: len(lat), Codec: codec}
+	res := LatencyResult{Nodes: nodes, Replication: replication, ValueSize: valueSize, Ops: len(lat)}
 	if len(lat) == 0 {
 		return res
 	}
@@ -327,13 +290,21 @@ type StealingResult struct {
 }
 
 // Stealing measures scheduler throughput under maximal placement imbalance
-// (every externally scheduled component lands on worker 0's deque; all other
-// workers must steal) with the given steal-batch policy — the paper's §3
-// claim that batching (stealing half the victim's queue) considerably
-// outperforms stealing single components. With the array-based deques a
-// batch steal claims the whole range in a single CAS of the victim's top
-// index, so Steals counts one operation per transferred batch rather than
-// per transferred component.
+// with the given steal-batch policy — the paper's §3 claim that batching
+// (stealing half the victim's queue) considerably outperforms stealing
+// single components. With the array-based deques a batch steal claims the
+// whole range in a single CAS of the victim's top index, so Steals counts
+// one operation per transferred batch rather than per transferred
+// component.
+//
+// The imbalance does not depend on timing. With more than one worker, a
+// pin component's handler first occupies some worker (the victim) and
+// blocks there for the whole run, and every externally scheduled component
+// lands on the victim's deque. Events are triggered in rounds of one event
+// per component, and a round starts only when the previous one has been
+// executed, so every round places all components on the victim afresh. The
+// other workers reach the work only by stealing, however the host
+// schedules them.
 func Stealing(workers, components, eventsPerComponent int, batchHalf bool) StealingResult {
 	batch := func(n int64) int64 { return 1 }
 	label := "one"
@@ -341,41 +312,56 @@ func Stealing(workers, components, eventsPerComponent int, batchHalf bool) Steal
 		batch = func(n int64) int64 { return n / 2 }
 		label = "half"
 	}
+	var victim atomic.Int64
 	sched := core.NewWorkStealingScheduler(workers,
 		core.WithStealBatch(batch),
-		core.WithPlacement(func(seq uint64, w int) int { return 0 }),
+		core.WithPlacement(func(uint64, int) int { return int(victim.Load()) }),
 	)
 	rt := core.New(core.WithScheduler(sched), core.WithFaultPolicy(core.LogAndContinue))
 	defer rt.Shutdown()
 
-	var done atomic.Int64
+	var done, roundEnd atomic.Int64
 	total := components * eventsPerComponent
-	var wg sync.WaitGroup
-	wg.Add(1)
+	roundDone := make(chan struct{}, 1)
 	ports := make([]*core.Port, components)
+	pinned, release := make(chan struct{}), make(chan struct{})
+	var pin *core.Port
 	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
 		for i := 0; i < components; i++ {
 			c := ctx.Create(fmt.Sprintf("c%d", i), core.SetupFunc(func(cx *core.Ctx) {
 				p := cx.Provides(benchPort)
 				core.Subscribe(cx, p, func(benchEvent) {
 					spin(200)
-					if done.Add(1) == int64(total) {
-						wg.Done()
+					if done.Add(1) == roundEnd.Load() {
+						roundDone <- struct{}{}
 					}
 				})
 			}))
 			ports[i] = c.Provided(benchPort)
 		}
+		pc := ctx.Create("pin", core.SetupFunc(func(cx *core.Ctx) {
+			core.Subscribe(cx, cx.Provides(benchPort), func(benchEvent) {
+				close(pinned)
+				<-release
+			})
+		}))
+		pin = pc.Provided(benchPort)
 	}))
 	rt.WaitQuiescence(5 * time.Second)
+	defer close(release)
+	if workers > 1 {
+		victim.Store(int64(pinWorker(sched, pin, pinned)))
+	}
+	_, steals0, stolen0 := sched.Stats()
 
 	start := time.Now()
 	for e := 0; e < eventsPerComponent; e++ {
+		roundEnd.Store(int64((e + 1) * components))
 		for i := 0; i < components; i++ {
 			_ = core.TriggerOn(ports[i], benchEvent{})
 		}
+		<-roundDone
 	}
-	wg.Wait()
 	wall := time.Since(start)
 	_, steals, stolen := sched.Stats()
 	return StealingResult{
@@ -384,9 +370,24 @@ func Stealing(workers, components, eventsPerComponent int, batchHalf bool) Steal
 		Events:      total,
 		Wall:        wall,
 		EventsPerMS: float64(total) / float64(wall.Milliseconds()+1),
-		Steals:      steals,
-		Stolen:      stolen,
+		Steals:      steals - steals0,
+		Stolen:      stolen - stolen0,
 	}
+}
+
+// pinWorker triggers the pin component, waits until its handler runs, and
+// returns the index of the worker running it: the only worker whose pop or
+// steal count moved, since the runtime was quiescent before.
+func pinWorker(sched *core.WorkStealingScheduler, pin *core.Port, pinned <-chan struct{}) int {
+	before := sched.SchedulerMetrics().PerWorker
+	_ = core.TriggerOn(pin, benchEvent{})
+	<-pinned
+	for i, w := range sched.SchedulerMetrics().PerWorker {
+		if w.LocalPops+w.Steals != before[i].LocalPops+before[i].Steals {
+			return i
+		}
+	}
+	return 0
 }
 
 // benchEvent is the unit of scheduler work in microbenchmarks.

@@ -45,7 +45,7 @@ func kvClusterConfig(noCoalesce bool) cats.NodeConfig {
 // amortizes) and waits for ring convergence. The caller must Shutdown the
 // returned runtime.
 func buildKVCluster(n int, noCoalesce bool) (*core.Runtime, *cats.Simulator, *core.Port) {
-	registry := network.NewLoopbackRegistry(network.WithCodec(network.Codec{}))
+	registry := network.NewLoopbackRegistry(network.WithSerialization())
 	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, kvClusterConfig(noCoalesce))
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
 	var exp *core.Port

@@ -61,7 +61,7 @@ func walBenchConfig(sync kvstore.SyncPolicy, durable bool) cats.NodeConfig {
 // costs for a previous arm's data).
 func walRound(clients, ops int, cfg cats.NodeConfig, dataRoot string) (done uint64, elapsed time.Duration, lat []time.Duration) {
 	const nodes = 3
-	registry := network.NewLoopbackRegistry(network.WithCodec(network.Codec{}))
+	registry := network.NewLoopbackRegistry(network.WithSerialization())
 	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, cfg)
 	host.DataDirRoot = dataRoot
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))

@@ -65,11 +65,6 @@ type pongMsg struct {
 	Seq uint64
 }
 
-func init() {
-	network.Register(pingMsg{})
-	network.Register(pongMsg{})
-}
-
 // intervalTimeout drives the detector's ping rounds.
 type intervalTimeout struct {
 	timer.Timeout

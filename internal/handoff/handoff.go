@@ -76,11 +76,6 @@ type itemsMsg struct {
 	Push  bool
 }
 
-func init() {
-	network.Register(pullReqMsg{})
-	network.Register(itemsMsg{})
-}
-
 type pullTimeout struct {
 	timer.Timeout
 	Round uint64

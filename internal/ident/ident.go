@@ -155,3 +155,47 @@ func Dedup(sorted []NodeRef) []NodeRef {
 	}
 	return out
 }
+
+// Wire form of node references, shared by every protocol message that
+// carries membership (ring, Cyclon, bootstrap, handoff).
+
+// nodeRefMinWire is the smallest encoded NodeRef: key, empty host, port.
+const nodeRefMinWire = 8 + 4 + 2
+
+// AppendNodeRef appends n's wire form: ring key, then address.
+func AppendNodeRef(dst []byte, n NodeRef) []byte {
+	dst = network.AppendU64(dst, uint64(n.Key))
+	return network.AppendAddr(dst, n.Addr)
+}
+
+// ReadNodeRef reads a node reference. The host is copied out of the
+// frame: membership views keep references long after the message that
+// carried them.
+func ReadNodeRef(r *network.WireReader) NodeRef {
+	key := Key(r.U64())
+	host := r.OwnedString()
+	return NodeRef{Key: key, Addr: network.Address{Host: host, Port: r.U16()}}
+}
+
+// AppendNodeRefs appends a count-prefixed list of node references.
+func AppendNodeRefs(dst []byte, nodes []NodeRef) []byte {
+	dst = network.AppendU32(dst, uint32(len(nodes)))
+	for _, n := range nodes {
+		dst = AppendNodeRef(dst, n)
+	}
+	return dst
+}
+
+// ReadNodeRefs reads a count-prefixed list of node references, nil when
+// empty. A count the body cannot hold is rejected before allocating.
+func ReadNodeRefs(r *network.WireReader) []NodeRef {
+	n := r.Count(nodeRefMinWire)
+	if n == 0 {
+		return nil
+	}
+	nodes := make([]NodeRef, n)
+	for i := range nodes {
+		nodes[i] = ReadNodeRef(r)
+	}
+	return nodes
+}

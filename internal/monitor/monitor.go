@@ -29,10 +29,6 @@ type reportMsg struct {
 	Snapshots  []status.Response
 }
 
-func init() {
-	network.Register(reportMsg{})
-}
-
 type collectTimeout struct{ timer.Timeout }
 
 // ClientConfig parameterizes a MonitorClient.

@@ -67,9 +67,6 @@ func FlattenRuntimeMetrics(s core.MetricsSnapshot, n network.Metrics) map[string
 		"net.received":      int64(n.Received),
 		"net.dropped":       int64(n.DroppedFull),
 		"net.send_errors":   int64(n.SendErrors),
-		"net.zlib_msgs":     int64(n.CompressedMsgs),
-		"net.zlib_in":       int64(n.CompressedIn),
-		"net.zlib_out":      int64(n.CompressedOut),
 		"net.reconnects":    int64(n.Reconnects),
 		"net.requeued":      int64(n.Requeued),
 		"net.abandoned":     int64(n.Abandoned),

@@ -5,34 +5,35 @@ import (
 	"testing"
 )
 
-// FuzzDecodePayload drives the full payload decode dispatch — format flag,
-// wire tag, binary bodies with length-prefixed fields, gob fallback — with
-// adversarial bytes. The decoder must return (Message, nil) or (nil, error)
-// without panicking, and a successfully decoded wire-set message must
-// re-encode (corrupt inputs can never crash a receiving node).
+// FuzzDecodePayload drives the full payload decode dispatch — wire tag,
+// binary bodies with length-prefixed fields — with adversarial bytes. The
+// decoder must return (Message, nil) or (nil, error) without panicking,
+// and a successfully decoded message must re-encode (corrupt inputs can
+// never crash a receiving node). The protocol packages run the same body
+// over their own message types (see wiretest.Fuzz).
 func FuzzDecodePayload(f *testing.F) {
-	// Seeds: one valid payload per codec family, plus torn and corrupt
-	// variants of the interesting prefixes.
+	// Seeds: one valid payload per test message type, plus torn and
+	// corrupt variants of the interesting prefixes.
 	wire := wireBlob{Header: NewHeader(addr(1), addr(2)), Data: []byte("seed-data")}
-	if p, err := (BinaryCodec{}).Encode(wire); err == nil {
+	if p, err := (Codec{}).Encode(wire); err == nil {
 		f.Add(p)
 		f.Add(p[:len(p)/2]) // torn tail
-		f.Add(p[:2])        // flag+tag only
+		f.Add(p[:1])        // tag only
 		corrupt := append([]byte(nil), p...)
-		corrupt[1] = 0x7f // unknown wire tag (capability-byte corruption)
+		corrupt[0] = 0x7f // unknown wire tag
 		f.Add(corrupt)
 	}
 	if p, err := (Codec{}).Encode(hello{Header: NewHeader(addr(1), addr(2)), Greeting: "seed"}); err == nil {
 		f.Add(p)
-		f.Add(p[:1])
-	}
-	if p, err := (Codec{Compress: true}).Encode(hello{Header: NewHeader(addr(1), addr(2)), Greeting: "seed"}); err == nil {
-		f.Add(p)
 		f.Add(p[:len(p)-3])
 	}
-	// A binary body with a length prefix promising far more than the frame
-	// holds — the classic truncated-prefix shape.
-	huge := []byte{flagBinary, wireTagBlob}
+	if p, err := (Codec{}).Encode(data{Header: NewHeader(addr(1), addr(2)), Seq: 9, Payload: []byte{1}}); err == nil {
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+	}
+	// A body with a length prefix promising far more than the frame holds
+	// — the classic truncated-prefix shape.
+	huge := []byte{wireTagBlob}
 	huge = AppendU32(huge, ^uint32(0))
 	f.Add(huge)
 	f.Add([]byte{})
@@ -46,9 +47,9 @@ func FuzzDecodePayload(f *testing.F) {
 		if m == nil {
 			t.Fatal("nil message with nil error")
 		}
-		// Anything that decoded must re-encode; for wire-set types this
-		// exercises the AppendWire inverse against arbitrary decoded state.
-		if _, err := (BinaryCodec{}).Encode(m); err != nil {
+		// Anything that decoded must re-encode; this exercises the
+		// AppendWire inverse against arbitrary decoded state.
+		if _, err := (Codec{}).Encode(m); err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
 	})
@@ -98,7 +99,7 @@ func FuzzFramePrefix(f *testing.F) {
 	f.Add(uint32(1))
 	f.Add(uint32(maxFrame))
 	f.Add(uint32(keepaliveMagic))
-	f.Add(uint32(codecSwitchMagic))
+	f.Add(uint32(controlFloor))
 	f.Fuzz(func(t *testing.T, n uint32) {
 		legal := n > 0 && n <= maxFrame
 		if legal && isControlPrefix(n) {

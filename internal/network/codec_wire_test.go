@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// wireBlob is a test-only wire-set type: tag 0xEE, a header plus an opaque
-// byte payload. It keeps the binary codec's protocol-independent machinery
+// wireBlob is a test-only wire type: tag 0xEE, a header plus an opaque
+// byte payload. It keeps the codec's protocol-independent machinery
 // testable inside this package, without reaching into abd/handoff.
 type wireBlob struct {
 	Header
@@ -25,53 +25,44 @@ func (m wireBlob) AppendWire(dst []byte) []byte {
 	return AppendBytes(dst, m.Data)
 }
 
-func decodeWireBlob(r *WireReader) (Message, error) {
+func decodeWireBlob(r *WireReader) Message {
 	var m wireBlob
 	m.Header = r.Header()
 	m.Seq = int(r.I64())
 	m.Data = r.Bytes()
-	return m, nil
+	return m
 }
 
 func init() {
-	Register(wireBlob{})
 	RegisterWire(wireTagBlob, "test.blob", decodeWireBlob)
 }
 
+// TestCodecRegistry pins the wire-tag registry: registered tags are listed
+// with their names, and registering a tag twice panics, because a tag is
+// wire protocol and must be unambiguous.
 func TestCodecRegistry(t *testing.T) {
-	for _, name := range []string{"gob", "gob+zlib", "binary"} {
-		c, ok := CodecByName(name)
-		if !ok {
-			t.Fatalf("codec %q not registered", name)
-		}
-		if c.Name() != name {
-			t.Fatalf("codec %q reports name %q", name, c.Name())
-		}
-		byID, ok := CodecByID(c.ID())
-		if !ok || byID.Name() != name {
-			t.Fatalf("codec %q not resolvable by ID 0x%02x", name, c.ID())
+	tags := WireTags()
+	for tag, name := range map[byte]string{wireTagBlob: "test.blob", wireTagHello: "test.hello", wireTagData: "test.data"} {
+		if tags[tag] != name {
+			t.Fatalf("tag 0x%02x listed as %q, want %q", tag, tags[tag], name)
 		}
 	}
-	if _, ok := CodecByName("nope"); ok {
-		t.Fatal("unknown codec name resolved")
-	}
-	if _, ok := CodecByID(0x7f); ok {
-		t.Fatal("unknown codec ID resolved")
-	}
-	names := CodecNames()
-	if len(names) < 3 {
-		t.Fatalf("CodecNames: %v", names)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate wire tag registration did not panic")
+		}
+	}()
+	RegisterWire(wireTagBlob, "test.dup", decodeWireBlob)
 }
 
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	m := wireBlob{Header: NewHeader(addr(1), addr(2)), Data: []byte("payload bytes")}
-	payload, err := BinaryCodec{}.Encode(m)
+	payload, err := Codec{}.Encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsBinaryPayload(payload) {
-		t.Fatalf("wire-set type did not produce a binary payload: flag 0x%02x", payload[0])
+	if payload[0] != wireTagBlob {
+		t.Fatalf("payload starts with 0x%02x, want the wire tag", payload[0])
 	}
 	got, err := DecodePayload(payload)
 	if err != nil {
@@ -83,52 +74,47 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecFallback pins the safety net: a registered type outside
-// the wire set still encodes (as a tagged gob payload) and decodes, so no
-// message is ever unencodable under the binary backend.
+// TestBinaryCodecFallback pins that there is no fallback format: a type
+// without a wire tag is refused with an error, counted in the
+// codec-fallback counter, and leaves the destination buffer untouched.
 func TestBinaryCodecFallback(t *testing.T) {
-	before := gCodecFallbacks.Load()
-	m := hello{Header: NewHeader(addr(1), addr(2)), Greeting: "rare type"}
-	payload, err := BinaryCodec{}.Encode(m)
-	if err != nil {
-		t.Fatal(err)
+	type untagged struct{ Header }
+	before := GlobalMetrics().CodecFallbacks
+	dst := []byte{1, 2, 3}
+	out, err := Codec{}.EncodeAppend(dst, untagged{Header: NewHeader(addr(1), addr(2))})
+	if err == nil {
+		t.Fatal("untagged type encoded")
 	}
-	if IsBinaryPayload(payload) {
-		t.Fatal("non-wire-set type produced a binary payload")
+	if !bytes.Equal(out, dst) {
+		t.Fatalf("refused encode changed the buffer: %x", out)
 	}
-	got, err := DecodePayload(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(hello).Greeting != "rare type" {
-		t.Fatalf("fallback round trip mismatch: %+v", got)
-	}
-	if gCodecFallbacks.Load() == before {
-		t.Fatal("fallback counter did not move")
+	if GlobalMetrics().CodecFallbacks != before+1 {
+		t.Fatal("refused encode not counted")
 	}
 }
 
-// TestCodecCrossDecode pins the self-describing payload property that
-// makes live swaps frame-safe: every codec's output is decodable by
-// DecodePayload regardless of which codec the receiver has installed.
+// TestCodecCrossDecode pins that every path through the one wire format
+// agrees: what the TCP transport's codec encodes, DecodePayload and the
+// codec's own Decode read back, for every test message type.
 func TestCodecCrossDecode(t *testing.T) {
 	msgs := []Message{
 		hello{Header: NewHeader(addr(1), addr(2)), Greeting: "hi"},
+		data{Header: NewHeader(addr(1), addr(2)), Seq: -3, Payload: []byte{4}},
 		wireBlob{Header: NewHeader(addr(1), addr(2)), Data: []byte{1, 2, 3}},
 	}
-	for _, name := range CodecNames() {
-		c, _ := CodecByName(name)
-		for _, m := range msgs {
-			payload, err := c.Encode(m)
+	c := NewTCP(addr(1)).PeerCodec(addr(2))
+	for _, m := range msgs {
+		payload, err := c.Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		for _, dec := range []func([]byte) (Message, error){DecodePayload, c.Decode} {
+			got, err := dec(payload)
 			if err != nil {
-				t.Fatalf("%s encode %T: %v", name, m, err)
-			}
-			got, err := DecodePayload(payload)
-			if err != nil {
-				t.Fatalf("%s payload undecodable: %v", name, err)
+				t.Fatalf("%T payload undecodable: %v", m, err)
 			}
 			if got.Destination() != m.Destination() {
-				t.Fatalf("%s round trip mismatch: %+v != %+v", name, got, m)
+				t.Fatalf("round trip mismatch: %+v != %+v", got, m)
 			}
 		}
 	}
@@ -141,10 +127,9 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		want    string
 	}{
 		{"empty", nil, "empty"},
-		{"flag only", []byte{flagBinary}, "truncated"},
-		{"unknown tag", []byte{flagBinary, 0x7f}, "unknown wire tag"},
-		{"unknown flag", []byte{0x5a, 0x01}, "unknown format flag"},
-		{"truncated body", []byte{flagBinary, wireTagBlob, 0, 0}, "truncated"},
+		{"tag only", []byte{wireTagBlob}, "truncated"},
+		{"unknown tag", []byte{0x7f}, "unknown wire tag"},
+		{"truncated body", []byte{wireTagBlob, 0, 0}, "truncated"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodePayload(tc.payload); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -154,7 +139,7 @@ func TestBinaryDecodeErrors(t *testing.T) {
 
 	// Trailing bytes after a valid body must be rejected, not ignored: they
 	// would mean encoder/decoder disagreement on the wire layout.
-	good, err := BinaryCodec{}.Encode(wireBlob{Header: NewHeader(addr(1), addr(2))})
+	good, err := Codec{}.Encode(wireBlob{Header: NewHeader(addr(1), addr(2))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +183,7 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 	// of the steady state being gated.
 	var m Message = wireBlob{Header: NewHeader(addr(1), addr(2)), Data: bytes.Repeat([]byte{0xab}, 512)}
 	buf := make([]byte, 0, 4096)
-	var c BinaryCodec
+	var c Codec
 	allocs := testing.AllocsPerRun(200, func() {
 		out, err := c.EncodeAppend(buf[:0], m)
 		if err != nil || len(out) == 0 {
@@ -214,7 +199,7 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 // body back through WireReader primitives into an existing struct must not
 // allocate — Bytes and String alias the payload (zero-copy).
 func TestBinaryDecodeZeroAlloc(t *testing.T) {
-	payload, err := BinaryCodec{}.Encode(wireBlob{
+	payload, err := Codec{}.Encode(wireBlob{
 		Header: NewHeader(addr(1), addr(2)),
 		Data:   bytes.Repeat([]byte{0xcd}, 512),
 	})
@@ -223,7 +208,7 @@ func TestBinaryDecodeZeroAlloc(t *testing.T) {
 	}
 	var m wireBlob
 	allocs := testing.AllocsPerRun(200, func() {
-		r := NewWireReader(payload[2:])
+		r := NewWireReader(payload[1:])
 		m.Header = r.Header()
 		m.Seq = int(r.I64())
 		m.Data = r.Bytes()
@@ -240,11 +225,11 @@ func TestBinaryDecodeZeroAlloc(t *testing.T) {
 }
 
 // TestBinaryFullDecodeAllocs bounds the whole DecodePayload path for a
-// wire-set type: boxing the decoded message into the Message interface,
+// wire type: boxing the decoded message into the Message interface,
 // plus the WireReader header escaping through the indirect decoder call.
 // Both are constant per frame — no per-field or per-byte allocations.
 func TestBinaryFullDecodeAllocs(t *testing.T) {
-	payload, err := BinaryCodec{}.Encode(wireBlob{
+	payload, err := Codec{}.Encode(wireBlob{
 		Header: NewHeader(addr(1), addr(2)),
 		Data:   bytes.Repeat([]byte{0xef}, 256),
 	})

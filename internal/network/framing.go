@@ -1,17 +1,16 @@
 package network
 
-// Shared framing layer: the length-prefix wire grammar every transport
-// backend and wire codec must respect. A frame on the wire is a 4-byte
-// big-endian length prefix followed by that many payload bytes; a handful
-// of prefix values at the very top of the 32-bit space are reserved as
-// control frames that carry no length at all. Reserving them here — not
-// inside any one codec — is what guarantees a codec can never mint a
-// payload whose length collides with a control magic.
+// Shared framing layer: the length-prefix wire grammar of the TCP
+// transport. A frame on the wire is a 4-byte big-endian length prefix
+// followed by that many payload bytes; a handful of prefix values at the
+// very top of the 32-bit space are reserved as control frames that carry
+// no length at all. Reserving them here — not inside the codec — is what
+// guarantees a payload length can never collide with a control magic.
 
 // maxFrame bounds a single message frame (16 MiB), protecting receivers
 // from malformed or hostile length prefixes. It is deliberately far below
 // controlFloor: no legal frame length can ever be parsed as a control
-// magic, under any codec.
+// magic.
 const maxFrame = 16 << 20
 
 // controlFloor is the bottom of the reserved control-prefix range. Length
@@ -25,32 +24,24 @@ const controlFloor = 0xFFFF_FF00
 // protocol violation that closes the connection.
 const keepaliveMagic = 0xFFFF_FFFF
 
-// codecSwitchMagic is the length prefix of a codec-switch control frame:
-// the 4-byte magic followed by a single codec ID byte announcing the wire
-// codec of every subsequent data frame on this connection. Emitted by the
-// writer whenever consecutive queued frames were encoded under different
-// codecs (a live swap, or pre-swap frames surviving a redial).
-const codecSwitchMagic = 0xFFFF_FFFE
-
 // isControlPrefix reports whether a length prefix falls in the reserved
 // control range rather than being a data frame length.
 func isControlPrefix(n uint32) bool { return n >= controlFloor }
 
 // Connection handshake: the dialer announces itself before the first
-// frame with an 8-byte preamble — magic, wire protocol version, the
-// capability byte naming its current wire codec, and two reserved bytes.
-// The receiver validates the magic and version and rejects codecs it does
-// not know, so a mixed-version pair degrades to a closed connection
-// instead of garbled frames.
+// frame with an 8-byte preamble — magic, wire protocol version, and three
+// reserved zero bytes. The receiver validates the magic and version, so a
+// mixed-version pair degrades to a closed connection instead of garbled
+// frames. Version 2 is the tagged binary payload; version 1 payloads began
+// with a format flag.
 const (
 	handshakeLen = 8
-	wireVersion  = 1
+	wireVersion  = 2
 )
 
 var handshakeMagic = [4]byte{'C', 'A', 'T', 'S'}
 
 // compile-time guard: the frame-length space and the control-prefix space
 // must stay disjoint (a data frame length can never be misread as a
-// keepalive or codec switch). A negative array length here is a build
-// error.
+// keepalive). A negative array length here is a build error.
 var _ [controlFloor - maxFrame]struct{}

@@ -11,20 +11,17 @@ import (
 
 // LoopbackRegistry is the shared in-process "wire" connecting Loopback
 // transport components: a map from address to the component's provided
-// Network port. It supports optional per-message latency, loss, and codec
-// round-tripping (serialize + deserialize each message, as a real transport
-// would).
+// Network port. It supports optional per-message latency, loss, and
+// serialization (encode + decode each message, as a real transport would).
 type LoopbackRegistry struct {
 	mu    sync.RWMutex
 	nodes map[Address]*Loopback
 
-	delay    func(src, dst Address) time.Duration
-	dropRate float64
-	codec    *Codec
-	wire     WireCodec
-	stream   *StreamCodec
-	rng      *rand.Rand
-	rngMu    sync.Mutex
+	delay     func(src, dst Address) time.Duration
+	dropRate  float64
+	serialize bool
+	rng       *rand.Rand
+	rngMu     sync.Mutex
 
 	delivered, dropped, unroutable atomicCounter
 }
@@ -53,27 +50,12 @@ func WithDropRate(p float64, seed int64) LoopbackOption {
 	}
 }
 
-// WithCodec makes the registry serialize and deserialize every message
-// through the codec before delivery, exercising the full marshalling path
-// (and catching unregistered message types) in-process.
-func WithCodec(c Codec) LoopbackOption {
-	return func(r *LoopbackRegistry) { r.codec = &c }
-}
-
-// WithWireCodec is WithCodec generalized over codec backends: every
-// message round-trips through the given WireCodec (binary payloads for
-// its wire set, gob fallback otherwise), exercising exactly the bytes a
-// TCP deployment with that backend would put on the wire.
-func WithWireCodec(c WireCodec) LoopbackOption {
-	return func(r *LoopbackRegistry) { r.wire = c }
-}
-
-// WithStreamCodec is WithCodec but over a persistent gob stream, which
-// amortizes type descriptors across messages as per-connection stream
-// codecs do; this is the realistic serialization cost for long-lived
-// connections.
-func WithStreamCodec() LoopbackOption {
-	return func(r *LoopbackRegistry) { r.stream = NewStreamCodec() }
+// WithSerialization makes the registry encode and decode every message
+// through the wire codec before delivery, exercising exactly the bytes a
+// TCP deployment puts on the wire (and catching message types without a
+// wire tag) in-process. Without it messages are delivered as they are.
+func WithSerialization() LoopbackOption {
+	return func(r *LoopbackRegistry) { r.serialize = true }
 }
 
 // NewLoopbackRegistry creates an empty registry.
@@ -92,7 +74,7 @@ func (r *LoopbackRegistry) Stats() (delivered, dropped, unroutable uint64) {
 }
 
 // route delivers a message to its destination transport, applying loss,
-// codec, and delay models.
+// serialization, and delay models.
 func (r *LoopbackRegistry) route(m Message) {
 	if r.dropRate > 0 {
 		r.rngMu.Lock()
@@ -103,30 +85,14 @@ func (r *LoopbackRegistry) route(m Message) {
 			return
 		}
 	}
-	if r.codec != nil {
-		decoded, err := r.codec.RoundTrip(m)
-		if err != nil {
-			r.dropped.add(1)
-			return
-		}
-		m = decoded
-	}
-	if r.wire != nil {
+	if r.serialize {
 		// Fresh buffer per message: the decoded message may alias it.
-		payload, err := r.wire.Encode(m)
+		payload, err := Codec{}.Encode(m)
 		if err != nil {
 			r.dropped.add(1)
 			return
 		}
 		decoded, err := DecodePayload(payload)
-		if err != nil {
-			r.dropped.add(1)
-			return
-		}
-		m = decoded
-	}
-	if r.stream != nil {
-		decoded, err := r.stream.RoundTrip(m)
 		if err != nil {
 			r.dropped.add(1)
 			return

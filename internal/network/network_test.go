@@ -1,8 +1,8 @@
 package network
 
 import (
-	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,9 +25,40 @@ type data struct {
 	Payload []byte
 }
 
+const (
+	wireTagHello byte = 0xF0
+	wireTagData  byte = 0xF1
+)
+
+func (m hello) WireTag() byte { return wireTagHello }
+
+func (m hello) AppendWire(dst []byte) []byte {
+	return AppendString(AppendHeader(dst, m.Header), m.Greeting)
+}
+
+func (m data) WireTag() byte { return wireTagData }
+
+func (m data) AppendWire(dst []byte) []byte {
+	dst = AppendI64(AppendHeader(dst, m.Header), int64(m.Seq))
+	return AppendBytes(dst, m.Payload)
+}
+
 func init() {
-	Register(hello{})
-	Register(data{})
+	RegisterWire(wireTagHello, "test.hello", func(r *WireReader) Message {
+		return hello{Header: r.Header(), Greeting: r.String()}
+	})
+	RegisterWire(wireTagData, "test.data", func(r *WireReader) Message {
+		return data{Header: r.Header(), Seq: int(r.I64()), Payload: r.Bytes()}
+	})
+}
+
+// roundTrip encodes and decodes m through the wire codec.
+func roundTrip(m Message) (Message, error) {
+	p, err := Codec{}.Encode(m)
+	if err != nil {
+		return nil, err
+	}
+	return Codec{}.Decode(p)
 }
 
 func addr(i int) Address { return Address{Host: "node", Port: uint16(i)} }
@@ -68,9 +99,8 @@ func TestHeaderAndReply(t *testing.T) {
 }
 
 func TestCodecRoundTripPlain(t *testing.T) {
-	c := Codec{}
 	m := data{Header: NewHeader(addr(1), addr(2)), Seq: 7, Payload: []byte("abc")}
-	got, err := c.RoundTrip(m)
+	got, err := roundTrip(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,68 +113,23 @@ func TestCodecRoundTripPlain(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTripCompressed(t *testing.T) {
-	c := Codec{Compress: true}
-	payload := make([]byte, 4096) // compressible zeros
-	m := data{Header: NewHeader(addr(1), addr(2)), Seq: 1, Payload: payload}
-	enc, err := c.Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Codec{}.Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) >= len(plain) {
-		t.Fatalf("compressed (%d) not smaller than plain (%d)", len(enc), len(plain))
-	}
-	got, err := c.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(data).Seq != 1 {
-		t.Fatalf("decoded %+v", got)
-	}
-}
-
-func TestCodecCrossCompatibility(t *testing.T) {
-	// A non-compressing codec must decode compressed payloads and vice
-	// versa (the flag byte drives it).
-	m := hello{Header: NewHeader(addr(1), addr(2)), Greeting: "hi"}
-	enc, err := Codec{Compress: true}.Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Codec{}.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(hello).Greeting != "hi" {
-		t.Fatalf("decoded %+v", got)
-	}
-}
-
 func TestCodecErrors(t *testing.T) {
 	c := Codec{}
 	if _, err := c.Decode(nil); err == nil {
 		t.Fatalf("decode empty must fail")
 	}
 	if _, err := c.Decode([]byte{0x7f, 1, 2}); err == nil {
-		t.Fatalf("decode unknown flag must fail")
+		t.Fatalf("decode unknown tag must fail")
 	}
-	if _, err := c.Decode([]byte{flagPlain, 1, 2, 3}); err == nil {
+	if _, err := c.Decode([]byte{wireTagData, 1, 2, 3}); err == nil {
 		t.Fatalf("decode garbage must fail")
-	}
-	if _, err := c.Decode([]byte{flagZlib, 1, 2, 3}); err == nil {
-		t.Fatalf("decode garbage zlib must fail")
 	}
 }
 
 func TestPropertyCodecRoundTrip(t *testing.T) {
-	f := func(seq int, payload []byte, compress bool) bool {
-		c := Codec{Compress: compress}
+	f := func(seq int, payload []byte) bool {
 		m := data{Header: NewHeader(addr(1), addr(2)), Seq: seq, Payload: payload}
-		got, err := c.RoundTrip(m)
+		got, err := roundTrip(m)
 		if err != nil {
 			return false
 		}
@@ -254,7 +239,7 @@ func TestLoopbackUnroutable(t *testing.T) {
 }
 
 func TestLoopbackCodecRoundTrip(t *testing.T) {
-	rt, n1, n2, _ := newLoopbackPair(t, WithCodec(Codec{Compress: true}))
+	rt, n1, n2, _ := newLoopbackPair(t, WithSerialization())
 	n1.send(data{Header: NewHeader(n1.self, n2.self), Seq: 3, Payload: []byte("xyz")})
 	if !rt.WaitQuiescence(5 * time.Second) {
 		t.Fatal("no quiescence")
@@ -457,18 +442,6 @@ func TestTCPSelfDelivery(t *testing.T) {
 	waitCount(t, &n1.got, 1, 5*time.Second)
 }
 
-func TestTCPWithCompression(t *testing.T) {
-	_, n1, n2 := newTCPPair(t, WithCompression())
-	payload := make([]byte, 2048)
-	n1.ctx.Trigger(data{Header: NewHeader(n1.self, n2.self), Seq: 1, Payload: payload}, n1.port)
-	waitCount(t, &n2.got, 1, 5*time.Second)
-	n2.mu.Lock()
-	defer n2.mu.Unlock()
-	if len(n2.msgs[0].(data).Payload) != 2048 {
-		t.Fatalf("payload mangled")
-	}
-}
-
 func TestTCPSendToDeadPeerCountsError(t *testing.T) {
 	_, n1, _ := newTCPPair(t)
 	dead := Address{Host: "127.0.0.1", Port: 1} // nothing listens
@@ -525,7 +498,8 @@ func TestTCPShutdownIdempotent(t *testing.T) {
 }
 
 func TestRegisterAndEnvelope(t *testing.T) {
-	// Unregistered types must fail encoding with a clear error.
+	// Types without a registered wire tag must fail encoding with an error
+	// naming the type.
 	type unregistered struct {
 		Header
 		X int
@@ -534,7 +508,7 @@ func TestRegisterAndEnvelope(t *testing.T) {
 	if err == nil {
 		t.Fatalf("encoding unregistered type must fail")
 	}
-	if fmt.Sprintf("%v", err) == "" {
-		t.Fatalf("error must format")
+	if !strings.Contains(err.Error(), "unregistered") {
+		t.Fatalf("error %q does not name the type", err)
 	}
 }

@@ -38,16 +38,13 @@ const (
 // paper's pluggable NIO frameworks (Grizzly/Netty/MINA) built on net. It
 // performs automatic connection management (dial on demand, reuse,
 // reconnect with capped exponential backoff, teardown on error) and
-// message serialization through a swappable WireCodec backend — gob
-// (optionally zlib-compressed) by default, the zero-allocation binary
-// codec by option, switchable per peer at runtime via SwapCodec.
+// message serialization through the binary wire Codec.
 //
-// Wire format: an 8-byte handshake (magic, version, codec capability
-// byte), then frames — 4-byte big-endian length prefix + self-describing
-// codec payload — interleaved with control frames from the reserved
-// prefix range (keepalives, codec switches; see framing.go). Outbound
-// connections are used for sending only; peers dial back for their own
-// sends, so each direction has a dedicated connection.
+// Wire format: an 8-byte handshake (magic, version, reserved bytes), then
+// frames — 4-byte big-endian length prefix + codec payload — interleaved
+// with keepalive control frames from the reserved prefix range (see
+// framing.go). Outbound connections are used for sending only; peers dial
+// back for their own sends, so each direction has a dedicated connection.
 //
 // Each outbound peer is managed by a small circuit-breaker state machine
 // (connecting → up → backoff → … → down). The pending send queue belongs
@@ -60,15 +57,6 @@ const (
 type TCP struct {
 	self Address
 	log  *slog.Logger
-
-	// codec is the default wire-codec backend for peers without an
-	// override; codecName defers resolution of a WithWireCodecName option
-	// to Setup (so unknown names can be logged, not panicked). peerCodecs
-	// holds per-peer overrides installed by SwapCodec; both are guarded by
-	// mu and survive peer retirement and redials.
-	codec      WireCodec
-	codecName  string
-	peerCodecs map[Address]WireCodec
 
 	keepalive    time.Duration
 	idleTimeout  time.Duration
@@ -91,7 +79,6 @@ type TCP struct {
 
 	sent, received, droppedFull, sendErrors atomic.Uint64
 	reconnects, requeued, abandoned         atomic.Uint64
-	codecSwaps                              atomic.Uint64
 }
 
 // frameBuf is a pooled encode buffer: handleSend encodes each outbound
@@ -130,7 +117,6 @@ type outFrame struct {
 	payload  []byte
 	buf      *frameBuf // pooled backing buffer; released at final resolution
 	trace    tracing.Context
-	codecID  byte // capability byte of the codec that encoded payload
 	attempts int  // write attempts so far; >1 means the frame crossed a redial
 	spanned  bool // the frame's single transport span has been recorded
 }
@@ -149,19 +135,6 @@ func (p *peerConn) shutdown() { p.once.Do(func() { close(p.close) }) }
 
 // TCPOption configures a TCP transport.
 type TCPOption func(*TCP)
-
-// WithCompression enables zlib compression of message payloads (selects
-// the gob+zlib codec backend as the default).
-func WithCompression() TCPOption {
-	return func(t *TCP) { t.codec = Codec{Compress: true} }
-}
-
-// WithWireCodecName selects the default wire-codec backend by registry
-// name ("gob", "gob+zlib", "binary"). Unknown names are logged at Setup
-// and the transport keeps its previous default.
-func WithWireCodecName(name string) TCPOption {
-	return func(t *TCP) { t.codecName = name }
-}
 
 // WithKeepalive sets the idle keepalive probe period (0 disables probes).
 func WithKeepalive(d time.Duration) TCPOption {
@@ -203,9 +176,7 @@ func WithSendQueueLen(n int) TCPOption {
 func NewTCP(self Address, opts ...TCPOption) *TCP {
 	t := &TCP{
 		self:         self,
-		codec:        Codec{},
 		conns:        make(map[Address]*peerConn),
-		peerCodecs:   make(map[Address]WireCodec),
 		inbound:      make(map[net.Conn]struct{}),
 		keepalive:    defaultKeepalive,
 		idleTimeout:  defaultIdleTimeout,
@@ -229,14 +200,6 @@ func (t *TCP) Setup(ctx *core.Ctx) {
 	t.ctx = ctx
 	t.log = ctx.Log()
 	t.port = ctx.Provides(PortType)
-	if t.codecName != "" {
-		if c, ok := CodecByName(t.codecName); ok {
-			t.codec = c
-		} else {
-			t.log.Warn("tcp: unknown wire codec, keeping default",
-				"codec", t.codecName, "default", t.codec.Name())
-		}
-	}
 	core.Subscribe(ctx, t.port, t.handleSend)
 	core.Subscribe(ctx, ctx.Control(), func(core.Start) {
 		if err := t.listen(); err != nil {
@@ -262,78 +225,9 @@ func (t *TCP) ResilienceStats() (reconnects, requeued, abandoned uint64) {
 	return t.reconnects.Load(), t.requeued.Load(), t.abandoned.Load()
 }
 
-// CodecStats returns how many live codec swaps this transport has applied.
-func (t *TCP) CodecStats() (swaps uint64) { return t.codecSwaps.Load() }
-
-// PeerCodec reports the codec currently used for frames to peer.
-func (t *TCP) PeerCodec(peer Address) WireCodec { return t.codecFor(peer) }
-
-// SwapCodec live-swaps the wire codec used for frames to peer, the paper's
-// §2.6 hot-swap applied to the wire format. Every channel attached to the
-// Network port is held first, so no send or indication can interleave with
-// the swap; the peer's owned send queue keeps draining through the old
-// codec (its frames were encoded at enqueue time and each carries its
-// codec ID, so the writer announces the change with a codec-switch control
-// frame exactly where the boundary falls — even if a redial lands in the
-// middle); then the new codec is installed and the channels resume,
-// flushing anything queued during the hold in FIFO order. Zero frames are
-// lost or reordered. The override survives peer retirement and redials;
-// it applies to the next frame encoded after the swap.
-func (t *TCP) SwapCodec(peer Address, name string) error {
-	c, ok := CodecByName(name)
-	if !ok {
-		return fmt.Errorf("network: swap codec: unknown codec %q (have %v)", name, CodecNames())
-	}
-	if t.port != nil {
-		chans := t.port.AttachedChannels()
-		for _, ch := range chans {
-			ch.Hold()
-		}
-		defer func() {
-			for _, ch := range chans {
-				ch.Resume()
-			}
-		}()
-	}
-	t.mu.Lock()
-	t.peerCodecs[peer] = c
-	t.mu.Unlock()
-	t.codecSwaps.Add(1)
-	gCodecSwaps.Add(1)
-	if t.log != nil {
-		t.log.Info("tcp: wire codec swapped", "peer", peer.String(), "codec", name)
-	}
-	return nil
-}
-
-// SwapAllCodecs swaps the default codec and every per-peer override to
-// name, under one hold of the Network port.
-func (t *TCP) SwapAllCodecs(name string) error {
-	c, ok := CodecByName(name)
-	if !ok {
-		return fmt.Errorf("network: swap codec: unknown codec %q (have %v)", name, CodecNames())
-	}
-	if t.port != nil {
-		chans := t.port.AttachedChannels()
-		for _, ch := range chans {
-			ch.Hold()
-		}
-		defer func() {
-			for _, ch := range chans {
-				ch.Resume()
-			}
-		}()
-	}
-	t.mu.Lock()
-	t.codec = c
-	for peer := range t.peerCodecs {
-		t.peerCodecs[peer] = c
-	}
-	t.mu.Unlock()
-	t.codecSwaps.Add(1)
-	gCodecSwaps.Add(1)
-	return nil
-}
+// PeerCodec reports the codec used for frames to peer: the one wire
+// format, the same for every peer.
+func (t *TCP) PeerCodec(Address) Codec { return Codec{} }
 
 // PeerStates snapshots the circuit-breaker state of every live outbound
 // peer.
@@ -400,22 +294,12 @@ func (t *TCP) shutdown() {
 	t.wg.Wait()
 }
 
-// codecFor resolves the wire codec for one peer: its SwapCodec override
-// if present, else the transport default.
-func (t *TCP) codecFor(dst Address) WireCodec {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.peerCodecs[dst]; ok {
-		return c
-	}
-	return t.codec
-}
-
 // handleSend routes an outbound message onto the peer's connection queue,
 // dialing on demand. Messages to self are delivered directly. The frame is
-// encoded here — through the peer's current codec, into a pooled buffer —
-// so the bytes on the queue are immutable from this point on: a codec
-// swapped later never re-encodes frames already queued under the old one.
+// encoded here, into a pooled buffer, so the bytes on the queue are
+// immutable from this point on. A message whose type has no wire tag
+// fails to encode: it is logged, counted as a send error (and as a codec
+// fallback), and dropped.
 func (t *TCP) handleSend(m Message) {
 	if m.Destination() == t.self {
 		t.received.Add(1)
@@ -423,9 +307,8 @@ func (t *TCP) handleSend(m Message) {
 		core.TriggerOn(t.port, m) //nolint:errcheck // port type validated at Setup
 		return
 	}
-	codec := t.codecFor(m.Destination())
 	fb := frameBufPool.Get().(*frameBuf)
-	payload, err := codec.EncodeAppend(fb.b[:0], m)
+	payload, err := Codec{}.EncodeAppend(fb.b[:0], m)
 	fb.b = payload[:0]
 	if err != nil {
 		frameBufPool.Put(fb)
@@ -442,7 +325,6 @@ func (t *TCP) handleSend(m Message) {
 		payload: payload,
 		buf:     fb,
 		trace:   tc,
-		codecID: codec.ID(),
 	})
 }
 
@@ -601,14 +483,8 @@ func (t *TCP) writeLoop(pc *peerConn) {
 			}
 			return
 		}
-		// Announce ourselves before the first frame: magic, version, and
-		// the capability byte naming this peer's current codec. Frames
-		// queued under an older codec (including pending, preserved across
-		// the redial) still flow — writeFrame emits a codec-switch control
-		// frame whenever the next frame's codec differs from the one last
-		// announced on this connection.
-		connCodec := t.codecFor(pc.addr).ID()
-		if err := t.writeHandshake(conn, connCodec); err != nil {
+		// Announce ourselves before the first frame: magic and version.
+		if err := t.writeHandshake(conn); err != nil {
 			_ = conn.Close()
 			t.sendErrors.Add(1)
 			gSendErrors.Add(1)
@@ -624,7 +500,7 @@ func (t *TCP) writeLoop(pc *peerConn) {
 		everUp = true
 		t.setState(pc, PeerUp)
 		t.emitStatus(pc.addr, true)
-		err := t.serveConn(pc, conn, &pending, connCodec)
+		err := t.serveConn(pc, conn, &pending)
 		_ = conn.Close()
 		if errors.Is(err, errPeerClosed) {
 			t.retirePeer(pc)
@@ -685,15 +561,14 @@ func (t *TCP) backoff(attempt int) time.Duration {
 }
 
 // writeHandshake sends the connection preamble declaring the wire
-// protocol version and the codec capability byte for subsequent frames.
-func (t *TCP) writeHandshake(conn net.Conn, codecID byte) error {
+// protocol version.
+func (t *TCP) writeHandshake(conn net.Conn) error {
 	if t.writeTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 	}
 	var hs [handshakeLen]byte
 	copy(hs[:4], handshakeMagic[:])
 	hs[4] = wireVersion
-	hs[5] = codecID
 	_, err := conn.Write(hs[:])
 	return err
 }
@@ -704,25 +579,13 @@ func (t *TCP) writeHandshake(conn net.Conn, codecID byte) error {
 // transmits it first, ahead of anything queued behind it. The frame's
 // span bookkeeping rides in the outFrame across the redial: the
 // retransmission finishes the original frame's story, it does not start a
-// new one. connCodec is the codec ID the handshake announced; frames
-// encoded under a different codec are preceded by a codec-switch control
-// frame, which is how a live SwapCodec (or a mixed-codec queue surviving
-// a redial) stays frame-exact on the wire.
-func (t *TCP) serveConn(pc *peerConn, conn net.Conn, pending *outFrame, connCodec byte) error {
+// new one.
+func (t *TCP) serveConn(pc *peerConn, conn net.Conn, pending *outFrame) error {
 	var lenBuf [4]byte
 	writeFrame := func(f *outFrame) error {
 		f.attempts++
 		if t.writeTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
-		}
-		if f.codecID != connCodec {
-			var sw [5]byte
-			binary.BigEndian.PutUint32(sw[:4], codecSwitchMagic)
-			sw[4] = f.codecID
-			if _, err := conn.Write(sw[:]); err != nil {
-				return err
-			}
-			connCodec = f.codecID
 		}
 		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(f.payload)))
 		if _, err := conn.Write(lenBuf[:]); err != nil {
@@ -812,13 +675,10 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 }
 
 // readLoop decodes frames from one inbound connection and delivers them on
-// the Network port. The connection must open with a valid handshake naming
-// a registered codec; decode itself dispatches on each payload's format
-// flag, so frames from any codec (or a mid-stream swap) decode without
-// renegotiation. Keepalive control frames only refresh the idle deadline;
-// codec-switch control frames update the peer's announced codec (and are
-// validated against the registry); a connection silent past the idle
-// timeout is reaped.
+// the Network port. The connection must open with a valid handshake of
+// this wire version; a peer speaking another version is disconnected
+// before any frame is read. Keepalive control frames only refresh the
+// idle deadline; a connection silent past the idle timeout is reaped.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -839,10 +699,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.log.Warn("tcp: bad handshake", "magic", fmt.Sprintf("%x", hs[:4]), "version", hs[4])
 		return
 	}
-	if _, ok := CodecByID(hs[5]); !ok {
-		t.log.Warn("tcp: handshake names unknown codec", "id", fmt.Sprintf("0x%02x", hs[5]))
-		return
-	}
 	var lenBuf [4]byte
 	for {
 		if t.idleTimeout > 0 {
@@ -855,32 +711,19 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
+		if n == keepaliveMagic {
+			continue
+		}
 		if isControlPrefix(n) {
-			switch n {
-			case keepaliveMagic:
-				continue
-			case codecSwitchMagic:
-				var id [1]byte
-				if _, err := io.ReadFull(conn, id[:]); err != nil {
-					return
-				}
-				if _, ok := CodecByID(id[0]); !ok {
-					t.log.Warn("tcp: switch to unknown codec", "id", fmt.Sprintf("0x%02x", id[0]))
-					return
-				}
-				gCodecSwitchFrames.Add(1)
-				continue
-			default:
-				t.log.Warn("tcp: unknown control prefix", "prefix", fmt.Sprintf("0x%08x", n))
-				return
-			}
+			t.log.Warn("tcp: unknown control prefix", "prefix", fmt.Sprintf("0x%08x", n))
+			return
 		}
 		if n == 0 || n > maxFrame {
 			t.log.Warn("tcp: bad frame length", "len", n)
 			return
 		}
-		// A fresh buffer per frame: binary-codec decode aliases it
-		// (zero-copy keys and values), so it must not be pooled or reused.
+		// A fresh buffer per frame: decode aliases it (zero-copy keys and
+		// values), so it must not be pooled or reused.
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(conn, payload); err != nil {
 			return

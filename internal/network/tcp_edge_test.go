@@ -10,14 +10,13 @@ import (
 )
 
 // dialRaw connects a raw socket to a transport's listener and performs
-// the client side of the connection handshake (gob capability byte).
+// the client side of the connection handshake.
 func dialRaw(t *testing.T, addr Address) net.Conn {
 	t.Helper()
 	conn := dialRawNoHandshake(t, addr)
 	var hs [handshakeLen]byte
 	copy(hs[:4], handshakeMagic[:])
 	hs[4] = wireVersion
-	hs[5] = flagPlain
 	if _, err := conn.Write(hs[:]); err != nil {
 		t.Fatalf("handshake write: %v", err)
 	}
@@ -77,11 +76,39 @@ func TestTCPRejectsZeroFrame(t *testing.T) {
 	}
 }
 
+// TestTCPRejectsOldWireVersion pins the handshake's version gate: a dialer
+// announcing wire version 1, whose payloads began with a format flag, is
+// disconnected before any frame is read, even when a valid frame follows.
+func TestTCPRejectsOldWireVersion(t *testing.T) {
+	_, n1, n2 := newTCPPair(t)
+	conn := dialRawNoHandshake(t, n1.self)
+	defer conn.Close()
+	var hs [handshakeLen]byte
+	copy(hs[:4], handshakeMagic[:])
+	hs[4] = 1
+	payload, err := Codec{}.Encode(hello{Header: NewHeader(n2.self, n1.self), Greeting: "v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(hs[:], uint32(len(payload)))
+	if _, err := conn.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 1)
+	if _, err := conn.Read(buf); err == nil {
+		t.Fatal("connection stayed open after a version-1 handshake")
+	}
+	if n1.got.Load() != 0 {
+		t.Fatal("frame behind a version-1 handshake was delivered")
+	}
+}
+
 func TestTCPSurvivesGarbagePayload(t *testing.T) {
 	_, n1, n2 := newTCPPair(t)
 	conn := dialRaw(t, n1.self)
 	defer conn.Close()
-	payload := []byte{flagPlain, 0xde, 0xad, 0xbe, 0xef}
+	payload := []byte{wireTagData, 0xde, 0xad, 0xbe, 0xef}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {

@@ -21,7 +21,25 @@ type tracedData struct {
 	Seq int
 }
 
-func init() { Register(tracedData{}) }
+const wireTagTraced byte = 0xF2
+
+func (m tracedData) WireTag() byte { return wireTagTraced }
+
+func (m tracedData) AppendWire(dst []byte) []byte {
+	dst = AppendU64(AppendHeader(dst, m.Header), m.TraceID)
+	dst = AppendU64(dst, m.SpanID)
+	return AppendI64(dst, int64(m.Seq))
+}
+
+func init() {
+	RegisterWire(wireTagTraced, "test.traced", func(r *WireReader) Message {
+		return tracedData{
+			Header:  r.Header(),
+			Context: tracing.Context{TraceID: r.U64(), SpanID: r.U64()},
+			Seq:     int(r.I64()),
+		}
+	})
+}
 
 // swapRing installs a fresh span ring for the test and restores the
 // previous one on cleanup.
@@ -105,7 +123,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	go reader1.run()
 	var pending outFrame
 	errCh := make(chan error, 1)
-	go func() { errCh <- tr.serveConn(pc, c1, &pending, flagPlain) }()
+	go func() { errCh <- tr.serveConn(pc, c1, &pending) }()
 	pc.ch <- frameU
 	pc.ch <- frameA
 	for i := 0; i < 2; i++ {
@@ -151,7 +169,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	reader2 := &frameReader{conn: c4, payloads: make(chan []byte, 16)}
 	go reader2.run()
 	tr.keepalive = 10 * time.Millisecond
-	go func() { errCh <- tr.serveConn(pc, c3, &pending, flagPlain) }()
+	go func() { errCh <- tr.serveConn(pc, c3, &pending) }()
 	var order []string
 	for i := 0; i < 2; i++ {
 		select {

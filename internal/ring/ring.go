@@ -109,14 +109,6 @@ type notifyMsg struct {
 	Epoch uint64
 }
 
-func init() {
-	network.Register(joinReqMsg{})
-	network.Register(joinRespMsg{})
-	network.Register(stabilizeReqMsg{})
-	network.Register(stabilizeRespMsg{})
-	network.Register(notifyMsg{})
-}
-
 type stabilizeTimeout struct{ timer.Timeout }
 type joinRetryTimeout struct{ timer.Timeout }
 

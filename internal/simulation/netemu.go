@@ -62,19 +62,9 @@ type NetworkEmulator struct {
 	slowNodes map[network.Address]slowWindow
 	slowLinks map[[2]network.Address]slowWindow
 
-	// Wire-codec state: when defaultCodec is set, every cross-node message
-	// round-trips through the sender's configured codec (binary payloads for
-	// the wire set, gob fallback otherwise) exactly as a TCP deployment
-	// would. nodeCodecs overrides per sender, mutated by SwapCodec. All
-	// counters are local so simulation reports stay deterministic.
-	defaultCodec network.WireCodec
-	nodeCodecs   map[network.Address]network.WireCodec
-
 	delivered, dropped, blocked, unroutable uint64
 	crashes, restarts, flaps, churnDropped  uint64
 	slows, slowDelayed                      uint64
-	codecSwaps, binaryFrames, gobFrames     uint64
-	codecErrors                             uint64
 }
 
 // slowWindow is one gray-failure injection: extra one-way latency applied
@@ -97,20 +87,6 @@ func WithLoss(p float64) EmulatorOption {
 	return func(e *NetworkEmulator) { e.loss = p }
 }
 
-// WithEmulatedCodec makes every cross-node message round-trip through the
-// named wire codec before delivery, mirroring the serialize/deserialize a
-// real transport performs. Panics on an unknown codec name — emulator
-// configuration is test code and should fail loudly.
-func WithEmulatedCodec(name string) EmulatorOption {
-	return func(e *NetworkEmulator) {
-		c, ok := network.CodecByName(name)
-		if !ok {
-			panic(fmt.Sprintf("simulation: unknown wire codec %q", name))
-		}
-		e.defaultCodec = c
-	}
-}
-
 // NewNetworkEmulator creates an emulator bound to the simulation; its
 // randomness derives from the simulation seed.
 func NewNetworkEmulator(sim *Simulation, opts ...EmulatorOption) *NetworkEmulator {
@@ -119,7 +95,6 @@ func NewNetworkEmulator(sim *Simulation, opts ...EmulatorOption) *NetworkEmulato
 		rng:        rand.New(rand.NewSource(sim.Seed() ^ 0x6e657477)), // "netw"
 		latency:    ConstantLatency(time.Millisecond),
 		nodes:      make(map[network.Address]*EmulatedTransport),
-		nodeCodecs: make(map[network.Address]network.WireCodec),
 		partitions: make(map[network.Address]int),
 		down:       make(map[network.Address]bool),
 		linkDown:   make(map[[2]network.Address]time.Time),
@@ -270,35 +245,6 @@ func (e *NetworkEmulator) ChurnStats() (crashes, restarts, flaps, churnDropped u
 	return e.crashes, e.restarts, e.flaps, e.churnDropped
 }
 
-// SwapCodec switches the wire codec one node uses for subsequent sends,
-// the emulator analog of the TCP transport's live SwapCodec control path.
-// Only meaningful when the emulator was built WithEmulatedCodec. Panics on
-// an unknown name.
-func (e *NetworkEmulator) SwapCodec(addr network.Address, name string) {
-	c, ok := network.CodecByName(name)
-	if !ok {
-		panic(fmt.Sprintf("simulation: unknown wire codec %q", name))
-	}
-	e.nodeCodecs[addr] = c
-	e.codecSwaps++
-}
-
-// codecFor returns the wire codec the given sender is configured with, or
-// nil when the emulator does no codec round-tripping.
-func (e *NetworkEmulator) codecFor(src network.Address) network.WireCodec {
-	if c, ok := e.nodeCodecs[src]; ok {
-		return c
-	}
-	return e.defaultCodec
-}
-
-// CodecStats returns codec round-trip counters: live swaps applied, frames
-// that went over the emulated wire in the binary format vs gob, and
-// encode/decode failures (dropped).
-func (e *NetworkEmulator) CodecStats() (swaps, binaryFrames, gobFrames, codecErrors uint64) {
-	return e.codecSwaps, e.binaryFrames, e.gobFrames, e.codecErrors
-}
-
 // send routes one message through the emulated network.
 func (e *NetworkEmulator) send(m network.Message) {
 	src, dst := m.Source(), m.Destination()
@@ -313,25 +259,6 @@ func (e *NetworkEmulator) send(m network.Message) {
 	if e.loss > 0 && e.rng.Float64() < e.loss {
 		e.dropped++
 		return
-	}
-	if c := e.codecFor(src); c != nil {
-		// Fresh buffer per message: the decoded message may alias it.
-		payload, err := c.Encode(m)
-		if err != nil {
-			e.codecErrors++
-			return
-		}
-		if network.IsBinaryPayload(payload) {
-			e.binaryFrames++
-		} else {
-			e.gobFrames++
-		}
-		decoded, err := network.DecodePayload(payload)
-		if err != nil {
-			e.codecErrors++
-			return
-		}
-		m = decoded
 	}
 	d := e.latency(e.rng, src, dst)
 	if extra := e.slowExtra(src, dst); extra > 0 {

@@ -22,10 +22,6 @@ type note struct {
 	Text string
 }
 
-func init() {
-	network.Register(note{})
-}
-
 func addr(i int) network.Address {
 	return network.Address{Host: "sim", Port: uint16(i)}
 }

@@ -268,14 +268,8 @@ func WriteNetworkMetrics(w io.Writer, n network.Metrics) error {
 	m.Counter("cats_network_encoded_bytes_total", n.EncodedBytes)
 	m.Header("cats_network_decoded_msgs_total", "counter", "Messages deserialized by the codec.")
 	m.Counter("cats_network_decoded_msgs_total", n.DecodedMsgs)
-	m.Header("cats_network_compressed_msgs_total", "counter", "Messages zlib-compressed on encode.")
-	m.Counter("cats_network_compressed_msgs_total", n.CompressedMsgs)
-	m.Header("cats_network_compressed_bytes_in_total", "counter", "Uncompressed bytes fed into zlib.")
-	m.Counter("cats_network_compressed_bytes_in_total", n.CompressedIn)
-	m.Header("cats_network_compressed_bytes_out_total", "counter", "Compressed bytes out of zlib.")
-	m.Counter("cats_network_compressed_bytes_out_total", n.CompressedOut)
-	m.Header("cats_network_decompressed_msgs_total", "counter", "Messages zlib-decompressed on decode.")
-	m.Counter("cats_network_decompressed_msgs_total", n.DecompressedMsgs)
+	m.Header("cats_network_decode_errors_total", "counter", "Inbound payloads the codec rejected.")
+	m.Counter("cats_network_decode_errors_total", n.DecodeErrors)
 	m.Header("cats_network_reconnects_total", "counter", "Successful redials of a peer after a failure.")
 	m.Counter("cats_network_reconnects_total", n.Reconnects)
 	m.Header("cats_network_requeued_total", "counter", "Frames carried across a broken write for redelivery.")
@@ -284,16 +278,8 @@ func WriteNetworkMetrics(w io.Writer, n network.Metrics) error {
 	m.Counter("cats_network_abandoned_total", n.Abandoned)
 	m.Header("cats_network_traced_frames_total", "counter", "Encoded messages carrying a sampled trace context.")
 	m.Counter("cats_network_traced_frames_total", n.TracedFrames)
-	m.Header("cats_network_codec_binary_encoded_total", "counter", "Frames encoded in the binary wire format.")
-	m.Counter("cats_network_codec_binary_encoded_total", n.BinaryEncoded)
-	m.Header("cats_network_codec_binary_decoded_total", "counter", "Frames decoded from the binary wire format.")
-	m.Counter("cats_network_codec_binary_decoded_total", n.BinaryDecoded)
-	m.Header("cats_network_codec_fallbacks_total", "counter", "Messages outside the binary wire set encoded via gob fallback.")
+	m.Header("cats_network_codec_fallbacks_total", "counter", "Encodes refused because the message type has no wire tag.")
 	m.Counter("cats_network_codec_fallbacks_total", n.CodecFallbacks)
-	m.Header("cats_network_codec_swaps_total", "counter", "Live wire-codec swaps applied to peers.")
-	m.Counter("cats_network_codec_swaps_total", n.CodecSwaps)
-	m.Header("cats_network_codec_switch_frames_total", "counter", "Codec-switch control frames observed on inbound connections.")
-	m.Counter("cats_network_codec_switch_frames_total", n.CodecSwitches)
 	m.Header("cats_network_peers", "gauge", "Outbound peer connections by circuit-breaker state.")
 	m.Gauge("cats_network_peers", float64(n.PeersConnecting), "state", "connecting")
 	m.Gauge("cats_network_peers", float64(n.PeersUp), "state", "up")

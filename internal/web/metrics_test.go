@@ -48,13 +48,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cats_routecache_builds_total",
 		"cats_routecache_resets_total",
 		"cats_network_sent_total",
-		"cats_network_compressed_bytes_out_total",
+		"cats_network_encoded_bytes_total",
 		"cats_network_reconnects_total",
 		"cats_network_requeued_total",
 		"cats_network_abandoned_total",
 		"cats_network_traced_frames_total",
-		"cats_network_codec_binary_encoded_total",
-		"cats_network_codec_swaps_total",
+		"cats_network_codec_fallbacks_total",
 		`cats_network_peers{state="backoff"}`,
 		"cats_runtime_components_live",
 		"cats_tracing_spans_recorded_total",
