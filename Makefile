@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 BENCHCPU ?= 4
 
-.PHONY: all help build vet test test-race reconfig bench bench-dispatch bench-gate determinism chaos gray fuzz recovery ci ci-local
+.PHONY: all help build vet test test-race reconfig bench bench-dispatch bench-gate scenarios fuzz ci ci-local
 
 all: build
 
@@ -25,19 +25,14 @@ help:
 	@echo "  bench-gate      million-key + WAL durability + hedge catsbench profiles"
 	@echo "                  (reduced scale) gated against the bench/BENCH_baseline_*"
 	@echo "                  floors"
-	@echo "  determinism     run the simulation twice per seed and diff trace digests"
-	@echo "  chaos           churn scenario under -race plus two-run chaos report diffs"
-	@echo "                  (memory, long-outage, and durable WAL-backed variants)"
-	@echo "  gray            gray-failure scenario (straggler pulses + overload burst):"
-	@echo "                  3 seeds, two runs each diffed byte-identically, hedges and"
-	@echo "                  sheds must fire, history linearizable with no lost writes"
+	@echo "  scenarios       every catssim scenario gate in SCENARIOS: each name:seed"
+	@echo "                  pair runs twice, must pass its gates and print identical"
+	@echo "                  reports"
 	@echo "  fuzz            wire decoder fuzz targets: the network package's, 30s"
 	@echo "                  each, and each protocol package's message set, 10s each"
-	@echo "  recovery        SIGKILL a durable cluster mid-churn, rebuild from WAL +"
-	@echo "                  snapshots, assert linearizable + no lost acked writes"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        full local mirror of the gating CI matrix (lint, tests,"
-	@echo "                  alloc gates, determinism, chaos, recovery, bench-gate)"
+	@echo "                  alloc gates, scenarios, bench-gate)"
 
 build:
 	$(GO) build ./...
@@ -83,57 +78,26 @@ bench-gate:
 	/tmp/catsbench -exp wal -quick -json-dir /tmp/bench -wal-gate bench/BENCH_baseline_wal.json
 	/tmp/catsbench -exp hedge -json-dir /tmp/bench -hedge-gate bench/BENCH_baseline_hedge.json
 
-# Local mirror of the CI determinism job: one seed, two runs, diff all
-# deterministic output lines (wall time filtered) including the -trace digest.
-determinism:
-	$(GO) build -o /tmp/catssim ./cmd/catssim
-	/tmp/catssim -mode sim -seed 7 -trace -boot 30 -churn 10 -lookups 200 -ops 100 -tail 10s | grep -v 'wall=' > /tmp/sim-a.txt
-	/tmp/catssim -mode sim -seed 7 -trace -boot 30 -churn 10 -lookups 200 -ops 100 -tail 10s | grep -v 'wall=' > /tmp/sim-b.txt
-	diff -u /tmp/sim-a.txt /tmp/sim-b.txt && echo "deterministic"
-
-# Local mirror of the CI chaos job: the churn scenario under the race
-# detector, then one seed's chaos report (with trace digest) run twice and
-# diffed — crash-restart churn must be deterministic and lose nothing.
-# Both the default and the long-outage (eviction + rejoin) variants run,
-# and each must have completed handoff sync rounds.
-chaos:
-	$(GO) test -race -count=1 -run 'Churn' ./internal/experiments/
-	$(GO) build -o /tmp/catssim ./cmd/catssim
-	/tmp/catssim -mode chaos -seed 3 -trace > /tmp/chaos-a.txt
-	/tmp/catssim -mode chaos -seed 3 -trace > /tmp/chaos-b.txt
-	diff -u /tmp/chaos-a.txt /tmp/chaos-b.txt && cat /tmp/chaos-a.txt
-	@! grep -q 'handoff_transfers=0 ' /tmp/chaos-a.txt || { echo "no handoff sync rounds completed"; exit 1; }
-	@grep -q 'timelines=[1-9]' /tmp/chaos-a.txt || { echo "no trace timelines assembled"; exit 1; }
-	/tmp/catssim -mode chaos -seed 11 -long -trace > /tmp/chaos-long-a.txt
-	/tmp/catssim -mode chaos -seed 11 -long -trace > /tmp/chaos-long-b.txt
-	diff -u /tmp/chaos-long-a.txt /tmp/chaos-long-b.txt && cat /tmp/chaos-long-a.txt
-	@! grep -q 'handoff_transfers=0 ' /tmp/chaos-long-a.txt || { echo "no handoff sync rounds completed (long)"; exit 1; }
-	# Durable variant: same churn on WAL-backed stores. The data dir must
-	# start empty each run or replay shifts the (diffed) WAL counters.
-	for run in a b; do \
-		rm -rf /tmp/chaos-wal; \
-		/tmp/catssim -mode chaos -seed 5 -trace -wal-dir /tmp/chaos-wal > /tmp/chaos-wal-$$run.txt || exit 1; \
-	done
-	diff -u /tmp/chaos-wal-a.txt /tmp/chaos-wal-b.txt && cat /tmp/chaos-wal-a.txt
-	@grep -q 'wal_appends=[1-9]' /tmp/chaos-wal-a.txt || { echo "durable chaos produced no WAL appends"; exit 1; }
-
-# Local mirror of the CI gray job: the gray-failure scenario (adaptive
-# deadlines + hedged quorum phases + replica-side load shedding) under
-# -race, then three seeds' reports each run twice and diffed — the
-# injected slowness must be deterministic, the resilience machinery must
-# demonstrably engage (hedges>0, sheds>0), and the client history must
-# stay linearizable with zero lost acked writes.
-gray:
-	$(GO) test -race -count=1 -run 'Gray|HedgeBench|Hedge|Shed' ./internal/experiments/ ./internal/abd/
-	$(GO) build -o /tmp/catssim ./cmd/catssim
-	for seed in 3 77 4242; do \
-		/tmp/catssim -mode gray -seed $$seed > /tmp/gray-$$seed-a.txt || exit 1; \
-		/tmp/catssim -mode gray -seed $$seed > /tmp/gray-$$seed-b.txt || exit 1; \
-		diff -u /tmp/gray-$$seed-a.txt /tmp/gray-$$seed-b.txt || exit 1; \
-		cat /tmp/gray-$$seed-a.txt; \
-		grep -q 'linearizable=true lost_acked_writes=0' /tmp/gray-$$seed-a.txt || { echo "seed $$seed: gray run lost acked writes"; exit 1; }; \
-		grep -Eq 'hedges=[1-9][0-9]* hedge_wins=[1-9][0-9]* sheds=[1-9]' /tmp/gray-$$seed-a.txt || { echo "seed $$seed: resilience machinery never engaged"; exit 1; }; \
-		grep -Eq 'slow_windows=[1-9]' /tmp/gray-$$seed-a.txt || { echo "seed $$seed: no gray faults injected"; exit 1; }; \
+# The scenario gates (CI job "scenarios"). Every name:seed pair runs twice:
+# a run exits non-zero if it fails a gate its registry entry declares
+# (internal/experiments/scenario.go), and the two reports must be
+# byte-identical. SIM_SIZE sizes the sim scenario.
+SCENARIOS = sim:7 sim:41 sim:1003 sim:22222 sim:987654321 \
+	chaos:3 chaos:77 chaos:4242 chaos-long:11 chaos-durable:5 \
+	gray:3 gray:77 gray:4242 recovery:3 recovery:21 recovery:99
+SIM_SIZE = -boot 30 -churn 10 -lookups 200 -ops 100 -tail 10s
+SCENARIO_OUT ?= /tmp/catssim-scenarios
+scenarios:
+	mkdir -p $(SCENARIO_OUT)
+	$(GO) build -o $(SCENARIO_OUT)/catssim ./cmd/catssim
+	for pair in $(SCENARIOS); do \
+		name=$${pair%%:*}; seed=$${pair#*:}; size=; \
+		[ $$name != sim ] || size="$(SIM_SIZE)"; \
+		for run in a b; do \
+			$(SCENARIO_OUT)/catssim -scenario $$name -seed $$seed $$size > $(SCENARIO_OUT)/$$name-$$seed-$$run.txt || exit 1; \
+		done; \
+		diff -u $(SCENARIO_OUT)/$$name-$$seed-a.txt $(SCENARIO_OUT)/$$name-$$seed-b.txt || exit 1; \
+		cat $(SCENARIO_OUT)/$$name-$$seed-a.txt; \
 	done
 
 # Wire decoder fuzz targets (also run as smoke in CI): the payload decoder
@@ -151,33 +115,10 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "$${t#*:}" -fuzztime 10s ./internal/$${t%%:*}/ || exit 1; \
 	done
 
-# Local mirror of the CI recovery job, one seed: phase 1 SIGKILLs its own
-# process mid-churn (exit 137 is the expected outcome), phase 2 rebuilds
-# the cluster from the data directory alone — twice, byte-identically —
-# and must report a linearizable history with zero lost acked writes plus
-# real WAL replay, snapshot, and handoff activity.
-recovery:
-	$(GO) test -race -count=1 -run 'Recovery|HistoryLog|ReplayCompletes' ./internal/experiments/ ./internal/abd/ ./internal/handoff/
-	$(GO) build -o /tmp/catssim ./cmd/catssim
-	# Phase 2 is itself durable (audit handoff appends to the WALs), so
-	# determinism is asserted over the whole crash->recover pair: run the
-	# pair twice from scratch and the recovery reports must match.
-	for run in a b; do \
-		rm -rf /tmp/recovery-local; \
-		/tmp/catssim -mode recovery -phase crash -seed 3 -wal-dir /tmp/recovery-local; \
-		status=$$?; [ $$status -eq 137 ] || { echo "crash phase exited $$status, want 137"; exit 1; }; \
-		/tmp/catssim -mode recovery -phase recover -seed 3 -wal-dir /tmp/recovery-local > /tmp/recover-$$run.txt || exit 1; \
-	done
-	diff -u /tmp/recover-a.txt /tmp/recover-b.txt && cat /tmp/recover-a.txt
-	@grep -q 'linearizable=true lost_acked_writes=0' /tmp/recover-a.txt || { echo "recovery lost acked writes"; exit 1; }
-	@grep -q 'wal_replayed=[1-9]' /tmp/recover-a.txt || { echo "no WAL records replayed"; exit 1; }
-	@grep -q 'snapshots_loaded=[1-9]' /tmp/recover-a.txt || { echo "no snapshots loaded"; exit 1; }
-	@grep -q 'handoff_transfers=[1-9]' /tmp/recover-a.txt || { echo "no handoff rounds after recovery"; exit 1; }
-
 ci: vet build test-race
 
 # Everything the gating CI matrix runs, locally and in one command. The
-# two alloc-gate suites and the scenario gates mirror .github/workflows/
+# alloc-gate suites and the scenario gates mirror .github/workflows/
 # ci.yml; the -race pass is unsharded here (sharding only buys wall-clock
 # on parallel runners).
 ci-local: vet build
@@ -190,8 +131,5 @@ ci-local: vet build
 	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources' -count=1 ./internal/web/
 	$(GO) test -run 'PhaseMetricsExposition' -count=1 ./internal/abd/
 	$(GO) test -run 'ZeroAlloc|WireRoundTrip' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/ring/ ./internal/cyclon/ ./internal/bootstrap/ ./internal/monitor/
-	$(MAKE) determinism
-	$(MAKE) chaos
-	$(MAKE) gray
-	$(MAKE) recovery
+	$(MAKE) scenarios
 	$(MAKE) bench-gate

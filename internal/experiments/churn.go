@@ -1,22 +1,15 @@
 package experiments
 
 import (
-	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/cats"
-	"repro/internal/core"
 	"repro/internal/handoff"
 	"repro/internal/ident"
 	"repro/internal/kvstore"
-	"repro/internal/linear"
 	"repro/internal/simulation"
-	"repro/internal/tracing"
 )
 
 // ChurnConfig parameterizes the chaos scenario: a simulated CATS cluster
@@ -26,12 +19,12 @@ type ChurnConfig struct {
 	Nodes     int           // cluster size (default 6)
 	Keys      int           // distinct data keys under test (default 6)
 	OpsPerKey int           // put/get operations per key, excluding the final audit read (default 10)
-	Crashes   int           // sequential crash→restart cycles (default 4)
+	Crashes   int           // sequential crash→restart cycles (default 3)
 	Flaps     int           // symmetric link flaps (default 4)
-	CrashDown time.Duration // how long a crashed node stays off the network (default 1200ms)
+	CrashDown time.Duration // how long a crashed node stays off the network (default 8s)
 	FlapDown  time.Duration // how long a flapped link stays down (default 900ms)
-	OpWindow  time.Duration // virtual-time window the workload and churn are spread over (default 40s)
-	Tail      time.Duration // settle time after the window before the audit reads (default 20s)
+	OpWindow  time.Duration // virtual-time window the workload and churn are spread over (default 60s)
+	Tail      time.Duration // settle time after the window before the audit reads (default 25s)
 
 	// DataDir, when non-empty, runs every node on a durable store
 	// (per-node WAL + snapshots under this root, sync=always) so the
@@ -89,104 +82,27 @@ func LongOutageChurnConfig() ChurnConfig {
 	}
 }
 
-// ChurnResult reports the scenario outcome.
-type ChurnResult struct {
-	Nodes, Keys int
-
-	AckedPuts, FailedPuts int
-	OKGets, FailedGets    int
-	UnresolvedOps         int
-	Crashes, Restarts     uint64
-	Flaps, ChurnDropped   uint64
-	Linearizable          bool
-	NonLinearizableKey    string
-	LostAckedWrites       int // keys whose acked writes the final audit read could not observe
-	SimulatedDuration     time.Duration
-	DiscreteEvents        uint64
-	HandlerExecutions     uint64
-
-	// State-handoff activity during the scenario (deltas of the
-	// process-wide counters, so they are per-seed deterministic).
-	HandoffKeys      uint64
-	HandoffBytes     uint64
-	HandoffTransfers uint64
-	// MaxEpoch is the highest replica-group epoch any node reached.
-	MaxEpoch uint64
-
-	// Durability activity during the scenario (deltas of the process-wide
-	// WAL counters; all zero when DataDir is unset).
-	WALAppends   uint64
-	WALSyncs     uint64
-	WALReplays   uint64
-	WALSnapshots uint64
-	WALErrors    uint64
-
-	// Sharded-store occupancy after the audit, summed over alive nodes:
-	// convergence must leave the survivors' stores populated, spread across
-	// shards (not collapsed into one by a broken hash split).
-	StoreKeys          int
-	StoreShardsInUse   int
-	StoreMaxShardShare float64 // largest single-shard fraction of any store
-
-	// Tracing: the chaos run samples every operation into a private span
-	// ring so a violation report can cite the offending op's cross-node
-	// timeline rather than a bare verdict.
-	TraceSpans      int
-	TraceTimelines  int
-	CrossNodeTraces int    // timelines with spans from >= 2 nodes
-	RestartTraces   int    // timelines that crossed >= 1 epoch restart
-	TraceDigest     uint64 // FNV-1a over all timelines; per-seed deterministic
-	LostKeys        []string
-	Timelines       []tracing.Timeline
-}
-
-// TimelineDigest folds assembled timelines into one FNV-1a fingerprint.
-// Under the deterministic simulation a seed fixes the spans, their IDs,
-// and their virtual timestamps, so the digest is byte-stable across
-// same-seed runs — the chaos determinism check diffs it.
-func TimelineDigest(tls []tracing.Timeline) uint64 {
-	h := fnv.New64a()
-	for _, tl := range tls {
-		fmt.Fprintf(h, "t %016x %s %s %s %d %v\n",
-			tl.Trace, tl.Name, tl.Key, tl.Outcome, tl.Restarts, tl.Nodes)
-		for _, s := range tl.Spans {
-			fmt.Fprintf(h, "s %016x %016x %016x %s %s %s %d %d %d %d\n",
-				s.ID, s.Parent, s.Link, s.Node, s.Name, s.Outcome,
-				s.Attempt, s.Epoch, s.Start.UnixNano(), s.End.UnixNano())
-		}
-	}
-	return h.Sum64()
-}
-
-// ViolationTimelines returns the timelines of the operations implicated in
-// a failed run: every traced op on the non-linearizable key and on keys
-// whose acknowledged writes the audit lost. Empty on a clean run.
-func (r ChurnResult) ViolationTimelines() []tracing.Timeline {
-	bad := map[string]bool{}
-	if r.NonLinearizableKey != "" {
-		bad[r.NonLinearizableKey] = true
-	}
-	for _, k := range r.LostKeys {
-		bad[k] = true
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	var out []tracing.Timeline
-	for _, tl := range r.Timelines {
-		if bad[tl.Key] {
-			out = append(out, tl)
-		}
-	}
-	return out
+// churnNodeConfig is the node template the churn and recovery scenarios
+// share. Suspicion takes 3 consecutive silent 2s rounds; crash windows
+// (8s by default) overlap more than three round starts, so crashed nodes
+// are genuinely evicted and must hand state off and rejoin. Durable
+// stores fsync before every ack — the scenarios' promise is "no acked
+// write lost" — and snapshot past snapshotBytes per shard.
+func churnNodeConfig(snapshotBytes int64) cats.NodeConfig {
+	cfg := simNodeConfig()
+	cfg.FDInterval = 2 * time.Second
+	cfg.FDSuspectAfterMisses = 3
+	cfg.WALSync = kvstore.SyncAlways
+	cfg.WALSnapshotBytes = snapshotBytes
+	return cfg
 }
 
 // Churn runs the chaos scenario: quorum puts/gets over a simulated CATS
 // cluster while the network emulator injects crash-restart churn and link
-// flaps, all in virtual time from one seed. It returns the recorded
-// history's linearizability verdict and an explicit lost-acknowledged-write
-// audit (after every fault heals, a final read per key must observe some
-// acknowledged value).
+// flaps, all in virtual time from one seed. Its Outcome carries the
+// recorded history's verdict from the shared audit: linearizability, and
+// that after every fault heals a final read per key observes some
+// acknowledged value.
 //
 // Default fault windows EXCEED the failure detector's suspicion threshold
 // (FDInterval × SuspectAfterMisses = 6s): the ring evicts the crashed
@@ -195,91 +111,28 @@ func (r ChurnResult) ViolationTimelines() []tracing.Timeline {
 // zero-lost-acked-writes audit therefore exercises the full
 // reconfiguration path — epoch fencing, state transfer, and rejoin of the
 // evicted node — not just transport resilience.
-func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnResult {
+func Churn(seed int64, cfg ChurnConfig) Outcome {
 	cfg.applyDefaults()
+	ring, stopTracing := traceAll()
+	defer stopTracing()
+	exec := newExecDigest()
 
-	// Trace every operation into a private ring for the run's duration:
-	// the violation report must be able to cite any op's timeline, and the
-	// process-wide ring and sampling rate must come back untouched.
-	ring := tracing.NewRing(1 << 16)
-	prevRing := tracing.SwapDefault(ring)
-	prevSample := tracing.SetSampleEvery(1)
-	defer func() {
-		tracing.SetSampleEvery(prevSample)
-		tracing.SwapDefault(prevRing)
-	}()
-
-	nodeCfg := simNodeConfig()
-	// Suspicion threshold: 3 consecutive silent 2s rounds. Crash windows
-	// (default 8s) overlap more than three round starts, so crashed nodes
-	// are genuinely evicted and must hand state off and rejoin.
-	nodeCfg.FDInterval = 2 * time.Second
-	nodeCfg.FDSuspectAfterMisses = 3
-
+	// A durable run snapshots aggressively so even a short run truncates
+	// logs under churn.
+	nodeCfg := churnNodeConfig(1 << 12)
 	handoffBefore := handoff.GlobalMetrics()
 	kvBefore := kvstore.GlobalMetrics()
-
-	var (
-		sim  *simulation.Simulation
-		emu  *simulation.NetworkEmulator
-		host *cats.Simulator
-		exp  *core.Port
-	)
-	if cfg.DataDir != "" {
-		// Durable chaos: WALs fsync on every ack and snapshots roll
-		// aggressively so even a short run truncates logs under churn.
-		nodeCfg.WALSync = kvstore.SyncAlways
-		nodeCfg.WALSnapshotBytes = 1 << 12
-		sim, emu, host, exp = buildDurableSimCluster(seed, spreadKeys(cfg.Nodes), nodeCfg, cfg.DataDir, nil, simOpts...)
-	} else {
-		sim, emu, host, exp = buildSimCluster(seed, cfg.Nodes, nodeCfg, simOpts...)
-	}
-	host.RecordOps = true
+	sim, emu, host, exp := buildSimCluster(seed, spreadKeys(cfg.Nodes), nodeCfg, cfg.DataDir, nil,
+		simulation.WithTraceSink(exec))
 
 	refs := host.AliveNodes()
 	rng := rand.New(rand.NewSource(seed ^ 0x6368726e)) // "chrn"
-
-	// Workload: OpsPerKey operations per key (first is always a put so
-	// every key exists), issued at coordinators drawn at random, spread
-	// uniformly over the window. Ops can land mid-fault: coordinators may
-	// be isolated, quorum members unreachable — that is the point.
-	type schedOp struct {
-		at time.Duration
-		ev core.Event
+	keys := make([]string, cfg.Keys)
+	for k := range keys {
+		keys[k] = "churn-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	var ops []schedOp
-	keyName := func(i int) string { return "churn-" + string(rune('a'+i%26)) + "-" + strconv.Itoa(i) }
-	for k := 0; k < cfg.Keys; k++ {
-		key := keyName(k)
-		for i := 0; i < cfg.OpsPerKey; i++ {
-			at := time.Duration(rng.Int63n(int64(cfg.OpWindow)))
-			if i == 0 {
-				at = time.Duration(rng.Int63n(int64(cfg.OpWindow) / 4)) // seed write early
-			}
-			node := ident.Key(rng.Uint64())
-			if i == 0 || rng.Float64() < 0.5 {
-				val := []byte("v-" + strconv.Itoa(k) + "-" + strconv.Itoa(i))
-				ops = append(ops, schedOp{at, cats.OpPut{NodeKey: node, Key: key, Value: val}})
-			} else {
-				ops = append(ops, schedOp{at, cats.OpGet{NodeKey: node, Key: key}})
-			}
-		}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
-	for _, op := range ops {
-		ev := op.ev
-		sim.ScheduleAt(op.at, "churn:op", func() { _ = core.TriggerOn(exp, ev) })
-	}
-
-	// Crash-restart churn: sequential, non-overlapping windows so at most
-	// one replica per group is dark at a time (replication 3 tolerates 1).
-	spacing := cfg.OpWindow / time.Duration(cfg.Crashes+1)
-	for i := 0; i < cfg.Crashes; i++ {
-		at := spacing*time.Duration(i+1) + time.Duration(rng.Int63n(int64(spacing)/4))
-		victim := refs[rng.Intn(len(refs))].Addr
-		sim.ScheduleAt(at, "churn:crash", func() { emu.Crash(victim) })
-		sim.ScheduleAt(at+cfg.CrashDown, "churn:restart", func() { emu.Restart(victim) })
-	}
+	scheduleWorkload(sim, exp, rng, keys, cfg.OpsPerKey, cfg.OpWindow, 0.5, "")
+	scheduleCrashes(sim, emu, rng, refs, cfg.Crashes, cfg.OpWindow, cfg.CrashDown)
 
 	// Link flaps: symmetric src↔dst outages that heal by virtual-time
 	// expiry, plus one partition that is explicitly healed.
@@ -301,139 +154,52 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 	sim.ScheduleAt(partAt, "churn:partition", func() { emu.Partition(1, isolated) })
 	sim.ScheduleAt(partAt+cfg.FlapDown, "churn:heal", func() { emu.Heal() })
 
-	mainStats := sim.Run(cfg.OpWindow + cfg.Tail)
+	o := Outcome{Sim: sim.Run(cfg.OpWindow + cfg.Tail)}
 
 	// Audit phase: every fault has healed and in-flight ops have resolved
 	// or timed out; one read per key must observe some acknowledged value.
 	preAudit := len(host.OpHistory())
-	keys := make([]string, 0, cfg.Keys)
-	for k := 0; k < cfg.Keys; k++ {
-		keys = append(keys, keyName(k))
-	}
-	for _, key := range keys {
-		k := key
-		sim.ScheduleAt(0, "churn:audit", func() {
-			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: k})
-		})
-	}
-	auditStats := sim.Run(nodeCfg.OpTimeout * 3)
+	o.Sim = addStats(o.Sim, auditReads(sim, exp, keys,
+		func(int) ident.Key { return ident.Key(rng.Uint64()) }, nodeCfg.OpTimeout*3))
+	o.auditHistory(host.OpHistory(), host.UnresolvedOps(), preAudit, keys)
 
-	history := host.OpHistory()
-	unresolved := host.UnresolvedOps()
-	res := ChurnResult{
-		Nodes:             cfg.Nodes,
-		Keys:              cfg.Keys,
-		UnresolvedOps:     len(unresolved),
-		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
-		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
-		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
+	crashes, restarts, flaps, dropped := emu.ChurnStats()
+	if restarts != crashes {
+		o.fail("restarts=%d, want crashes=%d", restarts, crashes)
 	}
-	res.Crashes, res.Restarts, res.Flaps, res.ChurnDropped = emu.ChurnStats()
+	o.count("crashes", crashes)
+	o.count("restarts", restarts)
+	o.count("flaps", flaps)
+	o.count("churn_dropped", dropped)
 	handoffAfter := handoff.GlobalMetrics()
-	res.HandoffKeys = handoffAfter.Keys - handoffBefore.Keys
-	res.HandoffBytes = handoffAfter.Bytes - handoffBefore.Bytes
-	res.HandoffTransfers = handoffAfter.Transfers - handoffBefore.Transfers
-	res.MaxEpoch = handoffAfter.Epoch
-	kvAfter := kvstore.GlobalMetrics()
-	res.WALAppends = kvAfter.WALAppends - kvBefore.WALAppends
-	res.WALSyncs = kvAfter.WALSyncs - kvBefore.WALSyncs
-	res.WALReplays = kvAfter.WALReplays - kvBefore.WALReplays
-	res.WALSnapshots = kvAfter.Snapshots - kvBefore.Snapshots
-	res.WALErrors = kvAfter.WALErrors - kvBefore.WALErrors
+	o.count("handoff_keys", handoffAfter.Keys-handoffBefore.Keys)
+	o.count("handoff_bytes", handoffAfter.Bytes-handoffBefore.Bytes)
+	o.count("handoff_transfers", handoffAfter.Transfers-handoffBefore.Transfers)
+	o.count("max_epoch", handoffAfter.Epoch)
 
-	// Build the per-key linearizability history. Failed or unresolved puts
-	// may or may not have taken effect, so they enter as writes with an
-	// unconstrained response time; failed gets observed nothing and are
-	// excluded.
-	hist := make(map[string][]linear.Op)
-	ackedVals := make(map[string]map[string]bool)
-	addPut := func(r cats.OpRecord, end int64) {
-		hist[r.Key] = append(hist[r.Key], linear.Op{
-			Kind: linear.Write, Value: r.Value, Start: r.Start.UnixNano(), End: end,
-		})
-	}
-	for _, r := range history {
-		switch r.Kind {
-		case "put":
-			if r.OK {
-				res.AckedPuts++
-				if ackedVals[r.Key] == nil {
-					ackedVals[r.Key] = make(map[string]bool)
-				}
-				ackedVals[r.Key][r.Value] = true
-				addPut(r, r.End.UnixNano())
-			} else {
-				res.FailedPuts++
-				addPut(r, math.MaxInt64)
-			}
-		case "get":
-			if r.OK {
-				res.OKGets++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Read, Value: r.Value, Found: r.Found,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			} else {
-				res.FailedGets++
-			}
-		}
-	}
-	for _, r := range unresolved {
-		if r.Kind == "put" {
-			addPut(r, math.MaxInt64)
-		}
-	}
-	res.Linearizable, res.NonLinearizableKey = linear.CheckPerKey(hist)
-
+	// Survivor stores after the audit: convergence must leave them
+	// populated and spread across shards (not collapsed into one by a
+	// broken hash split).
+	var storeKeys, shardsInUse uint64
 	for _, ref := range host.AliveNodes() {
-		p, ok := host.Peer(ref.Key)
-		if !ok || p.Node == nil {
-			continue
-		}
-		st := p.Node.ABD.Store().Stats()
-		res.StoreKeys += st.Keys
-		res.StoreShardsInUse += st.NonEmptyShards
-		if st.Keys > 0 {
-			for _, n := range st.PerShard {
-				if share := float64(n) / float64(st.Keys); share > res.StoreMaxShardShare {
-					res.StoreMaxShardShare = share
-				}
-			}
+		if p, ok := host.Peer(ref.Key); ok && p.Node != nil {
+			st := p.Node.ABD.Store().Stats()
+			storeKeys += uint64(st.Keys)
+			shardsInUse += uint64(st.NonEmptyShards)
 		}
 	}
+	o.count("store_keys", storeKeys)
+	o.count("store_shards_in_use", shardsInUse)
 
-	// Lost-acked-write audit: per key with acknowledged writes, the final
-	// read must succeed and find one of them (or a later unacked write's
-	// value — still not a loss).
-	finalRead := make(map[string]cats.OpRecord)
-	for _, r := range history[preAudit:] {
-		if r.Kind == "get" {
-			finalRead[r.Key] = r
-		}
-	}
-	for _, key := range keys {
-		if len(ackedVals[key]) == 0 {
-			continue
-		}
-		r, ok := finalRead[key]
-		if !ok || !r.OK || !r.Found {
-			res.LostAckedWrites++
-			res.LostKeys = append(res.LostKeys, key)
-		}
-	}
+	// WAL activity: all zero unless DataDir is set.
+	kvAfter := kvstore.GlobalMetrics()
+	o.count("wal_appends", kvAfter.WALAppends-kvBefore.WALAppends)
+	o.count("wal_syncs", kvAfter.WALSyncs-kvBefore.WALSyncs)
+	o.count("wal_snapshots", kvAfter.Snapshots-kvBefore.Snapshots)
+	o.count("wal_replays", kvAfter.WALReplays-kvBefore.WALReplays)
+	o.count("wal_errors", kvAfter.WALErrors-kvBefore.WALErrors)
 
-	// Assemble the run's trace rollup from the private ring.
-	res.Timelines = tracing.Assemble(ring.Snapshot())
-	res.TraceTimelines = len(res.Timelines)
-	for _, tl := range res.Timelines {
-		res.TraceSpans += len(tl.Spans)
-		if len(tl.Nodes) >= 2 {
-			res.CrossNodeTraces++
-		}
-		if tl.Restarts > 0 {
-			res.RestartTraces++
-		}
-	}
-	res.TraceDigest = TimelineDigest(res.Timelines)
-	return res
+	o.addTrace(ring)
+	o.setExec(exec)
+	return o
 }

@@ -9,24 +9,11 @@ import (
 // TestChurnTraceAcceptance pins the tracing acceptance criterion for the
 // chaos scenario: an operation that crosses an epoch restart (and the
 // handoff window behind it) must assemble into ONE timeline carrying spans
-// from at least two nodes with intact parent and restart links, and the
-// whole trace set must replay identically from the seed.
+// from at least two nodes with intact parent and restart links. The chaos
+// gates in TestScenarios require such timelines to exist and replay
+// identically from the seed.
 func TestChurnTraceAcceptance(t *testing.T) {
 	a := Churn(3, ChurnConfig{})
-	b := Churn(3, ChurnConfig{})
-	if a.TraceDigest == 0 || a.TraceDigest != b.TraceDigest {
-		t.Fatalf("trace digest not deterministic: %016x vs %016x", a.TraceDigest, b.TraceDigest)
-	}
-	if a.TraceSpans == 0 || a.TraceTimelines == 0 {
-		t.Fatalf("chaos run recorded no spans (spans=%d timelines=%d)", a.TraceSpans, a.TraceTimelines)
-	}
-	if a.CrossNodeTraces == 0 {
-		t.Fatalf("no timeline joined spans from >= 2 nodes out of %d", a.TraceTimelines)
-	}
-	if a.RestartTraces == 0 {
-		t.Fatalf("no timeline crossed an epoch restart out of %d — chaos stopped exercising restarts", a.TraceTimelines)
-	}
-
 	// A clean run must not implicate anything.
 	if v := a.ViolationTimelines(); len(v) != 0 {
 		t.Fatalf("clean run cited %d violation timelines", len(v))
@@ -47,8 +34,7 @@ func TestChurnTraceAcceptance(t *testing.T) {
 		}
 	}
 	if hit == nil {
-		t.Fatalf("no completed cross-node timeline with an epoch restart (timelines=%d restart=%d crossnode=%d)",
-			a.TraceTimelines, a.RestartTraces, a.CrossNodeTraces)
+		t.Fatalf("no completed cross-node timeline with an epoch restart among %d", len(a.Timelines))
 	}
 	checkTimelineIntegrity(t, *hit)
 	t.Logf("acceptance timeline: trace=%s %s key=%s restarts=%d nodes=%v spans=%d",

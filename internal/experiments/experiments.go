@@ -48,35 +48,47 @@ func spreadKeys(n int) []ident.Key {
 	return keys
 }
 
-// buildSimCluster boots a simulated CATS deployment of n nodes and runs it
-// to convergence. It returns the simulation, the network emulator (for
-// fault injection), and the simulator host.
-func buildSimCluster(seed int64, n int, cfg cats.NodeConfig, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, *cats.Simulator, *core.Port) {
-	return buildSimClusterEmu(seed, n, cfg, nil, opts...)
-}
-
-// buildSimClusterEmu is buildSimCluster with extra emulator options (e.g.
-// a wire-codec round-trip model).
-func buildSimClusterEmu(seed int64, n int, cfg cats.NodeConfig, emuOpts []simulation.EmulatorOption, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, *cats.Simulator, *core.Port) {
+// buildSimCluster boots a simulated CATS deployment over the given node
+// keys, staggering the joins, and runs it to convergence. The host records
+// every explicit op. A non-empty root gives every node a durable store
+// under it; sink, when non-nil, observes every op invocation and
+// completion. It returns the simulation, the network emulator (for fault
+// injection), the simulator host and its experiment port.
+func buildSimCluster(seed int64, keys []ident.Key, cfg cats.NodeConfig, root string, sink func(cats.OpRecord), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, *cats.Simulator, *core.Port) {
 	sim := simulation.New(seed, opts...)
 	emu := simulation.NewNetworkEmulator(sim,
-		append([]simulation.EmulatorOption{
-			simulation.WithLatency(simulation.UniformLatency(500*time.Microsecond, 2*time.Millisecond)),
-		}, emuOpts...)...)
+		simulation.WithLatency(simulation.UniformLatency(500*time.Microsecond, 2*time.Millisecond)))
 	host := cats.NewSimulator(cats.SimEnv{Sim: sim, Emu: emu}, cfg)
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("CatsSimulationMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
+	host.RecordOps = true
+	host.DataDirRoot = root
+	host.OpSink = sink
+	// The root's name seeds every component's random stream (core.Ctx.Rand
+	// derives from the component path), so durable and in-memory clusters
+	// keep their established names: renaming either re-seeds every
+	// scenario built on it.
+	name := "CatsSimulationMain"
+	if root != "" {
+		name = "CatsRecoveryMain"
+	}
+	exp := bootHost(sim.Runtime(), name, host)
 	sim.Run(0)
 	// Stagger joins in virtual time so join traffic doesn't stampede.
-	for _, k := range spreadKeys(n) {
+	for _, k := range keys {
 		_ = core.TriggerOn(exp, cats.JoinNode{Key: k})
 		sim.Run(50 * time.Millisecond)
 	}
 	sim.Run(60 * time.Second) // converge: stabilization + gossip rounds
 	return sim, emu, host, exp
+}
+
+// bootHost bootstraps rt with a root component of the given name whose
+// only child is host, and returns the host's experiment port.
+func bootHost(rt *core.Runtime, name string, host *cats.Simulator) *core.Port {
+	var exp *core.Port
+	rt.MustBootstrap(name, core.SetupFunc(func(ctx *core.Ctx) {
+		exp = ctx.Create("simulator", host).Provided(cats.ExperimentPortType)
+	}))
+	return exp
 }
 
 // Table1Result is one row of the paper's Table 1 reproduction.
@@ -95,7 +107,7 @@ type Table1Result struct {
 // The setup phase (boot + convergence) is excluded from the measurement,
 // as the paper reports steady-state simulation.
 func Table1(seed int64, peers int, simTime time.Duration) Table1Result {
-	sim, _, host, exp := buildSimCluster(seed, peers, simNodeConfig())
+	sim, _, host, exp := buildSimCluster(seed, spreadKeys(peers), simNodeConfig(), "", nil)
 
 	// Lookup workload: `peers` lookups per simulated second in aggregate.
 	lookups := scenario.NewProcess("lookups").
@@ -158,11 +170,7 @@ func Latency(nodes, replication, valueSize, ops int) LatencyResult {
 	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, cfg)
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
 	defer rt.Shutdown()
-	var exp *core.Port
-	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
+	exp := bootHost(rt, "Main", host)
 	rt.WaitQuiescence(5 * time.Second)
 
 	for _, k := range spreadKeys(nodes) {
@@ -248,7 +256,7 @@ type ScalingResult struct {
 // Each node contributes independent capacity in the emulated network, so
 // the measured shape isolates the protocol stack's scalability.
 func Scaling(seed int64, n, clientsPerNode, opsPerNode int) ScalingResult {
-	sim, _, host, exp := buildSimCluster(seed, n, simNodeConfig())
+	sim, _, host, exp := buildSimCluster(seed, spreadKeys(n), simNodeConfig(), "", nil)
 	target := uint64(opsPerNode * n)
 	_ = core.TriggerOn(exp, cats.StartLoad{
 		Clients:      clientsPerNode * n,

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -19,12 +18,9 @@ import (
 
 	"repro/internal/abd"
 	"repro/internal/cats"
-	"repro/internal/core"
 	"repro/internal/ident"
-	"repro/internal/linear"
 	"repro/internal/network"
 	"repro/internal/simulation"
-	"repro/internal/tracing"
 )
 
 // GrayConfig parameterizes the gray-failure scenario.
@@ -74,39 +70,6 @@ func (c *GrayConfig) applyDefaults() {
 	}
 }
 
-// GrayResult reports the scenario outcome.
-type GrayResult struct {
-	Nodes int
-
-	AckedPuts, FailedPuts int
-	OKGets, FailedGets    int
-	UnresolvedOps         int
-
-	// Resilience activity (deltas of the process-wide counters).
-	Retries      uint64
-	Hedges       uint64
-	HedgeWins    uint64
-	Sheds        uint64
-	Redeliveries uint64
-	SlowHints    uint64 // summed over the cluster's failure detectors
-	SlowWindows  uint64 // gray injections applied by the emulator
-	SlowDelayed  uint64 // messages the emulator delayed inside one
-
-	Linearizable       bool
-	NonLinearizableKey string
-	LostAckedWrites    int
-	LostKeys           []string
-
-	SimulatedDuration time.Duration
-	DiscreteEvents    uint64
-	HandlerExecutions uint64
-
-	TraceSpans     int
-	TraceTimelines int
-	TraceDigest    uint64
-	Timelines      []tracing.Timeline
-}
-
 // keyOwnedBy searches deterministic key strings until one hashes into the
 // ring span owned by nodeKeys[idx] — i.e. its replica group starts there.
 func keyOwnedBy(nodeKeys []ident.Key, idx int, prefix string) string {
@@ -129,18 +92,14 @@ func keyOwnedBy(nodeKeys []ident.Key, idx int, prefix string) string {
 // dead, nodes) at a replica group held one ack short of quorum, and a
 // synchronized op burst tripping replica admission control. It gates the
 // same invariants as the chaos scenario — linearizable history, zero lost
-// acked writes — plus evidence the resilience layer actually engaged:
-// hedges fired and sheds happened.
-func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResult {
+// acked writes — and reports the evidence that the resilience layer
+// engaged: hedges fired and won, and replicas shed load that was later
+// redelivered.
+func Gray(seed int64, cfg GrayConfig) Outcome {
 	cfg.applyDefaults()
-
-	ring := tracing.NewRing(1 << 16)
-	prevRing := tracing.SwapDefault(ring)
-	prevSample := tracing.SetSampleEvery(1)
-	defer func() {
-		tracing.SetSampleEvery(prevSample)
-		tracing.SwapDefault(prevRing)
-	}()
+	ring, stopTracing := traceAll()
+	defer stopTracing()
+	exec := newExecDigest()
 
 	nodeCfg := simNodeConfig()
 	// A 2ms deadline floor keeps adaptive budgets meaningful at the
@@ -152,10 +111,8 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 
 	resBefore := abd.GlobalResilienceMetrics()
 
-	sim, emu, host, exp := buildSimCluster(seed, cfg.Nodes, nodeCfg, simOpts...)
-	host.RecordOps = true
-
 	nodeKeys := spreadKeys(cfg.Nodes)
+	sim, emu, host, exp := buildSimCluster(seed, nodeKeys, nodeCfg, "", nil, simulation.WithTraceSink(exec))
 	rng := rand.New(rand.NewSource(seed ^ 0x67726179)) // "gray"
 
 	// Geometry: the hedge group is the replica group of a key owned by
@@ -166,9 +123,8 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	hIdx := rng.Intn(n)
 	hedgeKey := keyOwnedBy(nodeKeys, hIdx, "gray-hedge")
 	hCoord := nodeKeys[hIdx]
-	slowA := ident.NodeRef{Key: nodeKeys[(hIdx+1)%n]}
-	slowB := ident.NodeRef{Key: nodeKeys[(hIdx+2)%n]}
-	var slowAddrA, slowAddrB = refAddr(host, slowA.Key), refAddr(host, slowB.Key)
+	slowAddrA := refAddr(host, nodeKeys[(hIdx+1)%n])
+	slowAddrB := refAddr(host, nodeKeys[(hIdx+2)%n])
 
 	// Phase 1 — warm-up: paced ops on the hedge key from the hedge
 	// coordinator, so its estimators for the group members converge well
@@ -224,112 +180,35 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 		}
 	}
 
-	mainStats := sim.Run(burstAt + cfg.Tail)
+	o := Outcome{Sim: sim.Run(burstAt + cfg.Tail)}
 
 	// Audit: one read per key must observe an acknowledged value.
 	preAudit := len(host.OpHistory())
 	auditKeys := append([]string{hedgeKey}, burstKeys...)
-	for i, key := range auditKeys {
-		k := key
-		coord := nodeKeys[i%n]
-		sim.ScheduleAt(0, "gray:audit", func() {
-			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: coord, Key: k})
-		})
-	}
-	auditStats := sim.Run(nodeCfg.OpTimeout * 4)
+	o.Sim = addStats(o.Sim, auditReads(sim, exp, auditKeys,
+		func(i int) ident.Key { return nodeKeys[i%n] }, nodeCfg.OpTimeout*4))
+	o.auditHistory(host.OpHistory(), host.UnresolvedOps(), preAudit, auditKeys)
 
-	history := host.OpHistory()
-	unresolved := host.UnresolvedOps()
-	res := GrayResult{
-		Nodes:             cfg.Nodes,
-		UnresolvedOps:     len(unresolved),
-		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
-		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
-		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
-	}
+	windows, delayed := emu.GrayStats()
+	o.count("slow_windows", windows)
+	o.count("slow_delayed", delayed)
 	resAfter := abd.GlobalResilienceMetrics()
-	res.Retries = resAfter.Retries - resBefore.Retries
-	res.Hedges = resAfter.Hedges - resBefore.Hedges
-	res.HedgeWins = resAfter.HedgeWins - resBefore.HedgeWins
-	res.Sheds = resAfter.Sheds - resBefore.Sheds
-	res.Redeliveries = resAfter.Redeliveries - resBefore.Redeliveries
-	res.SlowWindows, res.SlowDelayed = emu.GrayStats()
+	o.count("hedges", resAfter.Hedges-resBefore.Hedges)
+	o.count("hedge_wins", resAfter.HedgeWins-resBefore.HedgeWins)
+	o.count("sheds", resAfter.Sheds-resBefore.Sheds)
+	o.count("redeliveries", resAfter.Redeliveries-resBefore.Redeliveries)
+	o.count("retries", resAfter.Retries-resBefore.Retries)
+	var slowHints uint64
 	for _, ref := range host.AliveNodes() {
 		if p, ok := host.Peer(ref.Key); ok && p.Node != nil {
-			res.SlowHints += p.Node.FD.SlowHints()
+			slowHints += p.Node.FD.SlowHints()
 		}
 	}
+	o.count("slow_hints", slowHints)
 
-	// Linearizability history, exactly as the churn scenario builds it.
-	hist := make(map[string][]linear.Op)
-	ackedVals := make(map[string]map[string]bool)
-	addPut := func(r cats.OpRecord, end int64) {
-		hist[r.Key] = append(hist[r.Key], linear.Op{
-			Kind: linear.Write, Value: r.Value, Start: r.Start.UnixNano(), End: end,
-		})
-	}
-	for _, r := range history {
-		switch r.Kind {
-		case "put":
-			if r.OK {
-				res.AckedPuts++
-				if ackedVals[r.Key] == nil {
-					ackedVals[r.Key] = make(map[string]bool)
-				}
-				ackedVals[r.Key][r.Value] = true
-				addPut(r, r.End.UnixNano())
-			} else {
-				res.FailedPuts++
-				addPut(r, math.MaxInt64)
-			}
-		case "get":
-			if r.OK {
-				res.OKGets++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Read, Value: r.Value, Found: r.Found,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			} else {
-				res.FailedGets++
-			}
-		}
-	}
-	for _, r := range unresolved {
-		if r.Kind == "put" {
-			addPut(r, math.MaxInt64)
-		}
-	}
-	res.Linearizable, res.NonLinearizableKey = linear.CheckPerKey(hist)
-
-	finalRead := make(map[string]cats.OpRecord)
-	for _, r := range history[preAudit:] {
-		if r.Kind == "get" {
-			finalRead[r.Key] = r
-		}
-	}
-	for _, key := range auditKeys {
-		if len(ackedVals[key]) == 0 {
-			continue
-		}
-		r, ok := finalRead[key]
-		if !ok || !r.OK || !r.Found {
-			res.LostAckedWrites++
-			res.LostKeys = append(res.LostKeys, key)
-		}
-	}
-
-	res.Timelines = tracing.Assemble(ring.Snapshot())
-	res.TraceTimelines = len(res.Timelines)
-	for _, tl := range res.Timelines {
-		res.TraceSpans += len(tl.Spans)
-	}
-	res.TraceDigest = TimelineDigest(res.Timelines)
-	return res
-}
-
-// scheduleOp schedules one experiment op at a virtual-time offset.
-func scheduleOp(sim *simulation.Simulation, exp *core.Port, at time.Duration, ev core.Event) {
-	sim.ScheduleAt(at, "gray:op", func() { _ = core.TriggerOn(exp, ev) })
+	o.addTrace(ring)
+	o.setExec(exec)
+	return o
 }
 
 // refAddr resolves a node key to its emulated transport address.
@@ -419,10 +298,8 @@ func hedgeArm(seed int64, cfg HedgeBenchConfig, noHedge bool) HedgeArm {
 	nodeCfg.DeadlineFloor = 2 * time.Millisecond
 	nodeCfg.NoHedge = noHedge
 
-	sim, emu, host, exp := buildSimCluster(seed, 2, nodeCfg)
-	host.RecordOps = true
-
 	nodeKeys := spreadKeys(2)
+	sim, emu, host, exp := buildSimCluster(seed, nodeKeys, nodeCfg, "", nil)
 	// Coordinator: node 0. Straggler: node 1. Every key's replica group is
 	// both nodes, so any key works; the coordinator's self-phase acks
 	// instantly and the remote is the lone straggler.

@@ -1,16 +1,16 @@
 // The recovery scenario: proof that durability actually survives death.
-// It runs in two phases in two separate processes (catssim -mode
-// recovery -phase crash|recover):
+// It runs in two phases in two processes (catssim -scenario recovery runs
+// the crash phase as a child catssim with -dir, then the recover phase
+// itself):
 //
 // Phase 1 (crash) boots a simulated CATS cluster whose nodes carry
 // durable stores (per-node WAL + snapshot directories under one root,
 // sync=always), drives a put/get workload through crash-restart churn,
 // and then — at a scheduled virtual-time point, mid-churn — SIGKILLs its
 // own process. A real SIGKILL, not a simulated one: no deferred flushes,
-// no atexit hooks, exit code 137. Every operation invocation and
-// completion is streamed to an fsynced history log before the next event
-// runs, so the kill cannot retroactively erase the record of an
-// acknowledged write.
+// no atexit hooks. Every operation invocation and completion is streamed
+// to an fsynced history log before the next event runs, so the kill
+// cannot retroactively erase the record of an acknowledged write.
 //
 // Phase 2 (recover) starts from nothing but the data directory: it
 // discovers the node keys from the per-node WAL directories, boots a
@@ -21,8 +21,7 @@
 //
 // Both phases are driven by the deterministic simulation, and phase 1
 // writes files at virtual-time-ordered points, so a (phase 1; phase 2)
-// pair from one seed produces byte-identical phase-2 reports — the CI
-// recovery job runs each seed twice and diffs them.
+// pair from one seed produces a byte-identical phase-2 report.
 package experiments
 
 import (
@@ -38,11 +37,8 @@ import (
 	"time"
 
 	"repro/internal/cats"
-	"repro/internal/core"
 	"repro/internal/handoff"
 	"repro/internal/ident"
-	"repro/internal/kvstore"
-	"repro/internal/linear"
 	"repro/internal/simulation"
 )
 
@@ -97,50 +93,10 @@ func (c *RecoveryConfig) applyDefaults() {
 	}
 }
 
-// recoveryNodeConfig is the shared per-node template: churn timings plus
-// durability. Phase 1 runs sync=always — the scenario's promise is "no
-// acked write lost", so acks must be fsync-gated.
-func recoveryNodeConfig(snapshotBytes int64) cats.NodeConfig {
-	cfg := simNodeConfig()
-	cfg.FDInterval = 2 * time.Second
-	cfg.FDSuspectAfterMisses = 3
-	cfg.WALSync = kvstore.SyncAlways
-	cfg.WALSnapshotBytes = snapshotBytes
-	return cfg
-}
-
-// buildDurableSimCluster mirrors buildSimCluster but configures the host
-// (durable data root, op recording, history sink) BEFORE any node joins,
-// and joins an explicit key list — phase 2 must rejoin exactly the keys
-// that have state on disk, not a fresh spread.
-func buildDurableSimCluster(seed int64, keys []ident.Key, cfg cats.NodeConfig, root string, sink func(cats.OpRecord), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, *cats.Simulator, *core.Port) {
-	sim := simulation.New(seed, opts...)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(500*time.Microsecond, 2*time.Millisecond)))
-	host := cats.NewSimulator(cats.SimEnv{Sim: sim, Emu: emu}, cfg)
-	host.RecordOps = true
-	host.DataDirRoot = root
-	host.OpSink = sink
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("CatsRecoveryMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	sim.Run(0)
-	for _, k := range keys {
-		_ = core.TriggerOn(exp, cats.JoinNode{Key: k})
-		sim.Run(50 * time.Millisecond)
-	}
-	sim.Run(60 * time.Second)
-	return sim, emu, host, exp
-}
-
-func recoveryKeyName(i int) string { return "rec-" + string(rune('a'+i%26)) + "-" + strconv.Itoa(i) }
-
 // RecoveryCrash runs phase 1. On the happy path it does not return: the
-// scheduled SIGKILL tears the process down mid-churn with exit code 137.
-// Returning (with an error) means the kill never fired — callers must
-// treat that as scenario failure.
+// scheduled SIGKILL tears the process down mid-churn. Returning (with an
+// error) means the kill never fired — callers must treat that as
+// scenario failure.
 func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 	cfg.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -151,267 +107,135 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 		return err
 	}
 
-	nodeCfg := recoveryNodeConfig(cfg.SnapshotBytes)
-	sim, emu, host, exp := buildDurableSimCluster(seed, spreadKeys(cfg.Nodes), nodeCfg, dir, histLog.append)
+	sim, emu, host, exp := buildSimCluster(seed, spreadKeys(cfg.Nodes), churnNodeConfig(cfg.SnapshotBytes),
+		dir, histLog.append)
 	refs := host.AliveNodes()
 	rng := rand.New(rand.NewSource(seed ^ 0x72656376)) // "recv"
 
-	// Workload: OpsPerKey ops per key, first always a put, put-biased
-	// after that so most keys accumulate several acked versions before
-	// the kill. Values carry padding so shard WALs cross the snapshot
-	// threshold during the run.
-	type schedOp struct {
-		at time.Duration
-		ev core.Event
+	// Workload: put-biased, so most keys accumulate several acked
+	// versions before the kill. Values carry padding so shard WALs cross
+	// the snapshot threshold during the run.
+	keys := make([]string, cfg.Keys)
+	for k := range keys {
+		keys[k] = "rec-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	var ops []schedOp
-	pad := strings.Repeat("x", cfg.ValuePad)
-	for k := 0; k < cfg.Keys; k++ {
-		key := recoveryKeyName(k)
-		for i := 0; i < cfg.OpsPerKey; i++ {
-			at := time.Duration(rng.Int63n(int64(cfg.OpWindow)))
-			if i == 0 {
-				at = time.Duration(rng.Int63n(int64(cfg.OpWindow) / 4))
-			}
-			node := ident.Key(rng.Uint64())
-			if i == 0 || rng.Float64() < 0.6 {
-				val := []byte("v-" + strconv.Itoa(k) + "-" + strconv.Itoa(i) + "-" + pad)
-				ops = append(ops, schedOp{at, cats.OpPut{NodeKey: node, Key: key, Value: val}})
-			} else {
-				ops = append(ops, schedOp{at, cats.OpGet{NodeKey: node, Key: key}})
-			}
-		}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
-	for _, op := range ops {
-		ev := op.ev
-		sim.ScheduleAt(op.at, "recovery:op", func() { _ = core.TriggerOn(exp, ev) })
-	}
-
+	scheduleWorkload(sim, exp, rng, keys, cfg.OpsPerKey, cfg.OpWindow, 0.6, "-"+strings.Repeat("x", cfg.ValuePad))
 	// Individual-node churn before the kill, so the full-process restart
 	// lands on a cluster already mid-reconfiguration.
-	spacing := cfg.KillAt / time.Duration(cfg.Crashes+1)
-	for i := 0; i < cfg.Crashes; i++ {
-		at := spacing*time.Duration(i+1) + time.Duration(rng.Int63n(int64(spacing)/4))
-		victim := refs[rng.Intn(len(refs))].Addr
-		sim.ScheduleAt(at, "recovery:crash", func() { emu.Crash(victim) })
-		sim.ScheduleAt(at+cfg.CrashDown, "recovery:restart", func() { emu.Restart(victim) })
-	}
+	scheduleCrashes(sim, emu, rng, refs, cfg.Crashes, cfg.KillAt, cfg.CrashDown)
 
 	// The point of the exercise: kill the whole cluster — every node
 	// lives in this process — with no warning and no cleanup. Everything
 	// the disk has at this virtual-time point (fsynced WAL appends,
 	// renamed snapshots, the history log) is all phase 2 gets.
+	// A history log that failed to write or fsync breaks that promise, so
+	// the kill is skipped and the latched error returned instead.
 	sim.ScheduleAt(cfg.KillAt, "recovery:sigkill", func() {
+		if histLog.err != nil {
+			return
+		}
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		select {} // unreachable: SIGKILL cannot be caught or outrun
 	})
 
 	sim.Run(cfg.OpWindow + cfg.Tail)
+	if histLog.err != nil {
+		return histLog.err
+	}
 	return fmt.Errorf("recovery: scheduled SIGKILL at %v never fired (ran %v)", cfg.KillAt, cfg.OpWindow+cfg.Tail)
-}
-
-// RecoveryResult reports the phase-2 outcome.
-type RecoveryResult struct {
-	Nodes int // node directories recovered
-	Keys  int // distinct data keys in the phase-1 history
-
-	// Phase-1 history, reconstructed from the fsynced log.
-	AckedPuts, FailedPuts int
-	OKGets                int
-	UnresolvedOps         int // invoked but not completed when the SIGKILL hit
-
-	// What recovery rebuilt from disk, summed over nodes.
-	SnapshotsLoaded int
-	SnapshotEntries int
-	WALReplayed     int
-	TornTails       int
-	RecoveredKeys   int
-
-	// Phase-2 activity: the rebuilt cluster must converge via handoff and
-	// answer the audit.
-	AuditOKGets, AuditFailed uint64
-	HandoffKeys              uint64
-	HandoffTransfers         uint64
-	MaxEpoch                 uint64
-
-	Linearizable       bool
-	NonLinearizableKey string
-	LostAckedWrites    int
-	LostKeys           []string
-
-	SimulatedDuration time.Duration
-	DiscreteEvents    uint64
-	HandlerExecutions uint64
 }
 
 // RecoveryRecover runs phase 2 against the data directory a killed
 // phase 1 left behind.
-func RecoveryRecover(seed int64, cfg RecoveryConfig, dir string) (RecoveryResult, error) {
+func RecoveryRecover(seed int64, cfg RecoveryConfig, dir string) (Outcome, error) {
 	cfg.applyDefaults()
-	var res RecoveryResult
-
 	resolved, unresolved, err := readHistoryLog(filepath.Join(dir, "history.log"))
 	if err != nil {
-		return res, err
+		return Outcome{}, err
 	}
 	nodeKeys, err := discoverNodeDirs(dir)
 	if err != nil {
-		return res, err
+		return Outcome{}, err
 	}
 	if len(nodeKeys) == 0 {
-		return res, fmt.Errorf("recovery: no node-* directories under %s", dir)
+		return Outcome{}, fmt.Errorf("recovery: no node-* directories under %s", dir)
 	}
-	res.Nodes = len(nodeKeys)
-	res.UnresolvedOps = len(unresolved)
 
 	handoffBefore := handoff.GlobalMetrics()
-
+	exec := newExecDigest()
 	// Phase 2 keeps sync=always for symmetry (cheap at audit volume);
 	// recovery itself is policy-independent.
-	nodeCfg := recoveryNodeConfig(cfg.SnapshotBytes)
-	sim, _, host, exp := buildDurableSimCluster(seed^0x7265636f, nodeKeys, nodeCfg, dir, nil) // "reco"
+	nodeCfg := churnNodeConfig(cfg.SnapshotBytes)
+	sim, _, host, exp := buildSimCluster(seed^0x7265636f, nodeKeys, nodeCfg, dir, nil, // "reco"
+		simulation.WithTraceSink(exec))
 
 	// Sum what Open rebuilt, per node, before any audit traffic.
+	var snapshots, snapshotEntries, walReplayed, tornTails, recoveredKeys int
 	for _, ref := range host.AliveNodes() {
 		p, ok := host.Peer(ref.Key)
 		if !ok || p.Node == nil || p.Node.Store() == nil {
 			continue
 		}
 		rec := p.Node.Store().Recovery()
-		res.SnapshotsLoaded += rec.SnapshotsLoaded
-		res.SnapshotEntries += rec.SnapshotEntries
-		res.WALReplayed += rec.WALEntries
-		res.TornTails += rec.TornTails
-		res.RecoveredKeys += rec.Keys
+		snapshots += rec.SnapshotsLoaded
+		snapshotEntries += rec.SnapshotEntries
+		walReplayed += rec.WALEntries
+		tornTails += rec.TornTails
+		recoveredKeys += rec.Keys
 	}
 
 	// Audit: one read per key the phase-1 history touched.
-	keys := map[string]bool{}
-	for _, r := range resolved {
-		keys[r.Key] = true
+	keySet := map[string]bool{}
+	for _, r := range append(resolved, unresolved...) {
+		keySet[r.Key] = true
 	}
-	for _, r := range unresolved {
-		keys[r.Key] = true
+	keys := make([]string, 0, len(keySet))
+	for k := range keySet {
+		keys = append(keys, k)
 	}
-	sortedKeys := make([]string, 0, len(keys))
-	for k := range keys {
-		sortedKeys = append(sortedKeys, k)
-	}
-	sort.Strings(sortedKeys)
-	res.Keys = len(sortedKeys)
+	sort.Strings(keys)
 	rng := rand.New(rand.NewSource(seed ^ 0x61756474)) // "audt"
-	for _, key := range sortedKeys {
-		k := key
-		sim.ScheduleAt(0, "recovery:audit", func() {
-			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: k})
-		})
-	}
-	stats := sim.Run(nodeCfg.OpTimeout * 3)
-	res.SimulatedDuration = stats.SimulatedDuration
-	res.DiscreteEvents = stats.DiscreteEvents
-	res.HandlerExecutions = stats.HandlerExecutions
+	o := Outcome{Sim: auditReads(sim, exp, keys,
+		func(int) ident.Key { return ident.Key(rng.Uint64()) }, nodeCfg.OpTimeout*3)}
 
-	handoffAfter := handoff.GlobalMetrics()
-	res.HandoffKeys = handoffAfter.Keys - handoffBefore.Keys
-	res.HandoffTransfers = handoffAfter.Transfers - handoffBefore.Transfers
-	res.MaxEpoch = handoffAfter.Epoch
-
-	m := host.Metrics()
-	res.AuditOKGets, res.AuditFailed = m.GetsOK, m.GetsFailed
+	// Combined history. The two phases run on separate virtual clocks,
+	// but phase 2 is strictly after phase 1 in real causality, so its
+	// timestamps are shifted past every phase-1 response. Unresolved
+	// phase-1 puts stay time-unconstrained: the kill may or may not have
+	// let them take effect, and either is legal.
 	audit := host.OpHistory()
-
-	// Combined linearizability history. The two phases run on separate
-	// virtual clocks, but phase 2 is strictly after phase 1 in real
-	// causality, so its timestamps are shifted past every phase-1
-	// response. Unresolved phase-1 puts stay time-unconstrained
-	// (End = MaxInt64): the kill may or may not have let them take effect,
-	// and either is legal.
 	var maxEnd1 int64 = math.MinInt64
 	for _, r := range resolved {
-		if e := r.End.UnixNano(); e > maxEnd1 {
-			maxEnd1 = e
-		}
+		maxEnd1 = max(maxEnd1, r.End.UnixNano())
 	}
 	var minStart2 int64 = math.MaxInt64
 	for _, r := range audit {
-		if s := r.Start.UnixNano(); s < minStart2 {
-			minStart2 = s
-		}
+		minStart2 = min(minStart2, r.Start.UnixNano())
 	}
-	offset := int64(0)
+	var offset time.Duration
 	if len(audit) > 0 && maxEnd1 > math.MinInt64 {
-		offset = maxEnd1 - minStart2 + int64(time.Hour)
+		offset = time.Duration(maxEnd1-minStart2) + time.Hour
 	}
-
-	hist := make(map[string][]linear.Op)
-	ackedVals := make(map[string]map[string]bool)
-	for _, r := range resolved {
-		switch r.Kind {
-		case "put":
-			if r.OK {
-				res.AckedPuts++
-				if ackedVals[r.Key] == nil {
-					ackedVals[r.Key] = make(map[string]bool)
-				}
-				ackedVals[r.Key][r.Value] = true
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Write, Value: r.Value,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			} else {
-				res.FailedPuts++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Write, Value: r.Value,
-					Start: r.Start.UnixNano(), End: math.MaxInt64,
-				})
-			}
-		case "get":
-			if r.OK {
-				res.OKGets++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Read, Value: r.Value, Found: r.Found,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			}
-		}
-	}
-	for _, r := range unresolved {
-		if r.Kind == "put" {
-			hist[r.Key] = append(hist[r.Key], linear.Op{
-				Kind: linear.Write, Value: r.Value,
-				Start: r.Start.UnixNano(), End: math.MaxInt64,
-			})
-		}
-	}
-	finalRead := make(map[string]cats.OpRecord)
+	records := append([]cats.OpRecord(nil), resolved...)
 	for _, r := range audit {
-		if r.Kind != "get" {
-			continue
-		}
-		if r.OK {
-			hist[r.Key] = append(hist[r.Key], linear.Op{
-				Kind: linear.Read, Value: r.Value, Found: r.Found,
-				Start: r.Start.UnixNano() + offset, End: r.End.UnixNano() + offset,
-			})
-		}
-		finalRead[r.Key] = r
+		r.Start, r.End = r.Start.Add(offset), r.End.Add(offset)
+		records = append(records, r)
 	}
-	res.Linearizable, res.NonLinearizableKey = linear.CheckPerKey(hist)
 
-	// Lost-acked-write audit: every key with a phase-1 acked put must be
-	// readable — found — after the full-cluster restart.
-	for _, key := range sortedKeys {
-		if len(ackedVals[key]) == 0 {
-			continue
-		}
-		r, ok := finalRead[key]
-		if !ok || !r.OK || !r.Found {
-			res.LostAckedWrites++
-			res.LostKeys = append(res.LostKeys, key)
-		}
-	}
-	return res, nil
+	o.count("nodes", uint64(len(nodeKeys)))
+	o.count("keys", uint64(len(keys)))
+	o.auditHistory(records, unresolved, len(resolved), keys)
+	o.count("snapshots_loaded", uint64(snapshots))
+	o.count("snapshot_entries", uint64(snapshotEntries))
+	o.count("wal_replayed", uint64(walReplayed))
+	o.count("torn_tails", uint64(tornTails))
+	o.count("recovered_keys", uint64(recoveredKeys))
+	handoffAfter := handoff.GlobalMetrics()
+	o.count("handoff_keys", handoffAfter.Keys-handoffBefore.Keys)
+	o.count("handoff_transfers", handoffAfter.Transfers-handoffBefore.Transfers)
+	o.count("max_epoch", handoffAfter.Epoch)
+	o.setExec(exec)
+	return o, nil
 }
 
 // discoverNodeDirs lists the node keys that have durable state under
@@ -437,8 +261,13 @@ func discoverNodeDirs(root string) ([]ident.Key, error) {
 }
 
 // historyLog streams op events to disk, fsyncing each line: after a
-// SIGKILL, every event appended before the kill is readable.
-type historyLog struct{ f *os.File }
+// SIGKILL, every event appended before the kill is readable. The first
+// write or fsync error is latched in err, and nothing is appended after
+// it.
+type historyLog struct {
+	f   *os.File
+	err error
+}
 
 func openHistoryLog(path string) (*historyLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -457,10 +286,16 @@ func (l *historyLog) append(r cats.OpRecord) {
 	if r.End.IsZero() {
 		tag = "inv"
 	}
-	fmt.Fprintf(l.f, "%s %s %s %s %t %t %d %d\n",
+	if l.err != nil {
+		return
+	}
+	if _, err := fmt.Fprintf(l.f, "%s %s %s %s %t %t %d %d\n",
 		tag, r.Kind, strconv.Quote(r.Key), strconv.Quote(r.Value),
-		r.OK, r.Found, r.Start.UnixNano(), r.End.UnixNano())
-	l.f.Sync()
+		r.OK, r.Found, r.Start.UnixNano(), r.End.UnixNano()); err != nil {
+		l.err = fmt.Errorf("recovery: history log write: %w", err)
+	} else if err := l.f.Sync(); err != nil {
+		l.err = fmt.Errorf("recovery: history log fsync: %w", err)
+	}
 }
 
 // readHistoryLog reconstructs the phase-1 history: completions, plus the

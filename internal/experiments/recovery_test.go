@@ -17,14 +17,15 @@ import (
 // destroyed (no leave protocol — queues dropped, stores closed by the
 // Stop cascade), and a brand-new cluster built over the same data
 // directories must recover the registers from snapshot + WAL and answer
-// reads. The out-of-process SIGKILL variant (catssim -mode recovery)
-// additionally proves this with no clean Close at all.
+// reads. The recovery scenario (catssim -scenario recovery, and
+// TestScenarios) additionally proves this across a SIGKILL with no clean
+// Close at all.
 func TestRecoveryFullClusterRestart(t *testing.T) {
 	root := t.TempDir()
 	keys := spreadKeys(4)
 
-	cfg := recoveryNodeConfig(1 << 10)
-	sim, _, host, exp := buildDurableSimCluster(11, keys, cfg, root, nil)
+	cfg := churnNodeConfig(1 << 10)
+	sim, _, host, exp := buildSimCluster(11, keys, cfg, root, nil)
 
 	const nkeys = 6
 	for k := 0; k < nkeys; k++ {
@@ -62,7 +63,7 @@ func TestRecoveryFullClusterRestart(t *testing.T) {
 		t.Fatalf("discoverNodeDirs = %v, %v; want %d keys", nodeKeys, err, len(keys))
 	}
 
-	sim2, _, host2, exp2 := buildDurableSimCluster(12, nodeKeys, cfg, root, nil)
+	sim2, _, host2, exp2 := buildSimCluster(12, nodeKeys, cfg, root, nil)
 	recoveredKeys, walReplayed, snapEntries := 0, 0, 0
 	for _, ref := range host2.AliveNodes() {
 		p, ok := host2.Peer(ref.Key)
@@ -130,6 +131,20 @@ func TestHistoryLogRoundtrip(t *testing.T) {
 	}
 	if len(unresolved) != 1 || unresolved[0].Value != "2" || !unresolved[0].End.IsZero() {
 		t.Fatalf("unresolved = %+v, want the in-flight put a=2", unresolved)
+	}
+}
+
+// TestHistoryLogLatchesWriteError pins that a failed append is not silent:
+// the crash phase returns the latched error instead of dying by SIGKILL.
+func TestHistoryLogLatchesWriteError(t *testing.T) {
+	l, err := openHistoryLog(filepath.Join(t.TempDir(), "history.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f.Close()
+	l.append(cats.OpRecord{Kind: "put", Key: "a", Value: "1", Start: time.Unix(0, 1000)})
+	if l.err == nil {
+		t.Fatal("append after close latched no error")
 	}
 }
 
