@@ -22,9 +22,9 @@ help:
 	@echo "  bench-dispatch  hot-path microbenchmarks only: dispatch, fan-out,"
 	@echo "                  ping-pong, deque. Pinned -benchtime $(BENCHTIME) -cpu $(BENCHCPU);"
 	@echo "                  override with BENCHTIME=... BENCHCPU=..."
-	@echo "  bench-gate      million-key + WAL durability + hedge catsbench profiles"
-	@echo "                  (reduced scale) gated against the bench/BENCH_baseline_*"
-	@echo "                  floors"
+	@echo "  bench-gate      every gated catsbench entry (million, wal, hedge) at"
+	@echo "                  -quick scale, each gated against its"
+	@echo "                  bench/BENCH_baseline_<name>.json"
 	@echo "  scenarios       every catssim scenario gate in SCENARIOS: each name:seed"
 	@echo "                  pair runs twice, must pass its gates and print identical"
 	@echo "                  reports"
@@ -68,15 +68,11 @@ bench-dispatch:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkDispatchAllocs|BenchmarkPingPongRoundTrip|BenchmarkChannelFanout|BenchmarkFanout' -benchmem -benchtime $(BENCHTIME) -cpu $(BENCHCPU) -count=3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkWSDeque|BenchmarkStealPingPong' -benchmem -benchtime $(BENCHTIME) -cpu $(BENCHCPU) -count=3 ./internal/core/
 
-# Local mirror of the CI bench-gate job: the reduced-scale million-key
-# profile and the WAL durability A/B must complete cleanly within 10% of
-# their checked-in throughput baselines, and the hedged-quorum A/B must
-# keep beating the gray straggler's tail (see bench/README.md).
+# Local mirror of the CI bench-gate job: every catsbench registry entry
+# that declares a gate runs at -quick scale against its checked-in
+# bench/BENCH_baseline_<name>.json (see bench/README.md).
 bench-gate:
-	$(GO) build -o /tmp/catsbench ./cmd/catsbench
-	/tmp/catsbench -exp million -quick -json-dir /tmp/bench -gate bench/BENCH_baseline_million.json
-	/tmp/catsbench -exp wal -quick -json-dir /tmp/bench -wal-gate bench/BENCH_baseline_wal.json
-	/tmp/catsbench -exp hedge -json-dir /tmp/bench -hedge-gate bench/BENCH_baseline_hedge.json
+	$(GO) run ./cmd/catsbench -quick -gate bench/
 
 # The scenario gates (CI job "scenarios"). Every name:seed pair runs twice:
 # a run exits non-zero if it fails a gate its registry entry declares

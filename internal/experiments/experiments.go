@@ -1,25 +1,26 @@
-// Package experiments implements the paper's evaluation artifacts as
-// reusable experiment functions, shared by the catsbench harness (which
-// prints paper-style tables) and the root bench_test.go benchmarks. Each
-// experiment corresponds to a row of DESIGN.md §3:
+// Package experiments implements the paper's evaluation artifacts and the
+// system's gating scenarios as reusable functions, shared by catsbench,
+// catssim and the root bench_test.go benchmarks:
 //
 //   - Table1: simulated-time compression vs. number of peers.
-//   - C1: end-to-end operation latency on an in-process cluster.
-//   - C2: aggregate read throughput vs. cluster size.
-//   - C3: work-stealing batch-size ablation.
+//   - Latency (C1): end-to-end operation latency on an in-process cluster.
+//   - Scaling (C2): aggregate read throughput vs. cluster size.
+//   - Stealing (C3): work-stealing batch-size ablation.
+//   - QuorumAB (C4), QuorumTraceAB (C6), WALBench (C7) and HedgeBench
+//     (C8): the A/B comparisons, each an arm list over the one interleaved
+//     runner in ab.go. They and MillionKV (C5) return one Result.
+//   - Scenarios: the scenario registry in scenario.go, one Outcome per run.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cats"
 	"repro/internal/core"
 	"repro/internal/ident"
-	"repro/internal/network"
 	"repro/internal/scenario"
 	"repro/internal/simulation"
 )
@@ -159,7 +160,6 @@ type LatencyResult struct {
 // operation). Background protocol periods are relaxed so the measurement
 // reflects the operation path, as on the paper's idle LAN cluster.
 func Latency(nodes, replication, valueSize, ops int) LatencyResult {
-	registry := network.NewLoopbackRegistry(network.WithSerialization())
 	cfg := cats.NodeConfig{
 		ReplicationDegree: replication,
 		FDInterval:        2 * time.Second,
@@ -167,18 +167,9 @@ func Latency(nodes, replication, valueSize, ops int) LatencyResult {
 		CyclonPeriod:      2 * time.Second,
 		OpTimeout:         5 * time.Second,
 	}
-	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, cfg)
-	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
+	rt, host, exp := bootKVCluster(nodes, cfg, "")
 	defer rt.Shutdown()
-	exp := bootHost(rt, "Main", host)
-	rt.WaitQuiescence(5 * time.Second)
-
-	for _, k := range spreadKeys(nodes) {
-		_ = core.TriggerOn(exp, cats.JoinNode{Key: k})
-		time.Sleep(10 * time.Millisecond)
-	}
-	waitForRing(rt, host, nodes, 30*time.Second)
-	time.Sleep(2 * time.Second) // let membership tables converge
+	time.Sleep(1500 * time.Millisecond) // 2 s in all for membership tables to converge
 
 	// Closed-loop single client: each op's latency is a clean end-to-end
 	// round trip with no queueing from concurrent ops.
@@ -190,18 +181,15 @@ func Latency(nodes, replication, valueSize, ops int) LatencyResult {
 		Keys:         64,
 	})
 	deadline := time.Now().Add(5 * time.Minute)
-	for time.Now().Before(deadline) {
-		if m := host.Metrics(); int(m.LoadDone) >= ops {
-			break
-		}
+	for time.Now().Before(deadline) && int(host.Metrics().LoadDone) < ops {
 		time.Sleep(5 * time.Millisecond)
 	}
 	rt.WaitQuiescence(10 * time.Second)
 
-	m := host.Metrics()
-	lat := append([]time.Duration(nil), m.OpLatencies...)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	res := LatencyResult{Nodes: nodes, Replication: replication, ValueSize: valueSize, Ops: len(lat)}
+	lat := host.Metrics().OpLatencies
+	a := pool("", []sample{{lat: lat}})
+	res := LatencyResult{Nodes: nodes, Replication: replication, ValueSize: valueSize, Ops: len(lat),
+		P50: a.P50, P99: a.P99, Max: a.Max}
 	if len(lat) == 0 {
 		return res
 	}
@@ -214,9 +202,6 @@ func Latency(nodes, replication, valueSize, ops int) LatencyResult {
 		}
 	}
 	res.Mean = sum / time.Duration(len(lat))
-	res.P50 = lat[len(lat)/2]
-	res.P99 = lat[len(lat)*99/100]
-	res.Max = lat[len(lat)-1]
 	res.SubMilli = float64(sub) / float64(len(lat))
 	return res
 }

@@ -223,51 +223,14 @@ func refAddr(host *cats.Simulator, key ident.Key) (addr network.Address) {
 
 // --- hedge A/B benchmark ---------------------------------------------------------
 
-// HedgeBenchConfig parameterizes the straggler A/B benchmark.
-type HedgeBenchConfig struct {
-	WarmOps   int           // estimator warm-up ops (default 16)
-	Ops       int           // measured pulsed ops per arm (default 40)
-	SlowExtra time.Duration // straggler extra latency per pulse (default 300ms)
-	PulseLen  time.Duration // pulse duration (default 2ms)
-}
-
-func (c *HedgeBenchConfig) applyDefaults() {
-	if c.WarmOps <= 0 {
-		c.WarmOps = 16
-	}
-	if c.Ops <= 0 {
-		c.Ops = 40
-	}
-	if c.SlowExtra <= 0 {
-		c.SlowExtra = 300 * time.Millisecond
-	}
-	if c.PulseLen <= 0 {
-		c.PulseLen = 2 * time.Millisecond
-	}
-}
-
-// HedgeArm is one arm's latency profile over the pulsed ops, in virtual
-// time (deterministic per seed, machine-independent).
-type HedgeArm struct {
-	Ops    int
-	Failed int
-	P50    time.Duration
-	P99    time.Duration
-	Max    time.Duration
-}
-
-// HedgeBenchResult is the A/B comparison plus the hedge activity observed
-// in the hedging-on arm.
-type HedgeBenchResult struct {
-	Off HedgeArm // hedging disabled
-	On  HedgeArm // hedging enabled
-	// Hedges/HedgeWins fired during the On arm (process-wide deltas).
-	Hedges    uint64
-	HedgeWins uint64
-	// P99Improvement is Off.P99 / On.P99 (higher is better; > 1 means
-	// hedging shortened the tail).
-	P99Improvement float64
-}
+// The hedge A/B's workload: estimator warm-up gets, then measured gets,
+// each one under a straggler pulse.
+const (
+	hedgeWarmOps   = 16
+	hedgeOps       = 40
+	hedgeSlowExtra = 300 * time.Millisecond // straggler extra latency per pulse
+	hedgePulseLen  = 2 * time.Millisecond
+)
 
 // HedgeBench measures tail latency under a gray-failing replica with
 // hedging off vs on. A two-node cluster makes every replica group both
@@ -275,25 +238,24 @@ type HedgeBenchResult struct {
 // at quorum-minus-one, which is precisely the hedge trigger. With hedging
 // off the op must ride out the delayed original (or an attempt timeout +
 // backoff); with hedging on the checkpoint fires after the pulse expired
-// and the fast duplicate completes the quorum.
-func HedgeBench(seed int64, cfg HedgeBenchConfig) HedgeBenchResult {
-	cfg.applyDefaults()
-	var res HedgeBenchResult
-	res.Off = hedgeArm(seed, cfg, true)
-	mid := abd.GlobalResilienceMetrics()
-	res.On = hedgeArm(seed, cfg, false)
-	resAfter := abd.GlobalResilienceMetrics()
-	res.Hedges = resAfter.Hedges - mid.Hedges
-	res.HedgeWins = resAfter.HedgeWins - mid.HedgeWins
-	if res.On.P99 > 0 {
-		res.P99Improvement = float64(res.Off.P99) / float64(res.On.P99)
+// and the fast duplicate completes the quorum. Latencies are virtual, so
+// the result is deterministic per seed and needs no warm-up round. Metric
+// "improvement" is off ÷ on p99.
+func HedgeBench(seed int64) (Result, error) {
+	round := func(noHedge bool) func() (sample, error) {
+		return func() (sample, error) { return hedgeRound(seed, noHedge), nil }
 	}
-	return res
+	res, err := runAB(1, false, arm{"off", round(true)}, arm{"on", round(false)})
+	if a := res.Arms; err == nil && a[1].P99 > 0 {
+		res.Metrics = map[string]float64{"improvement": float64(a[0].P99) / float64(a[1].P99)}
+	}
+	return res, err
 }
 
-// hedgeArm runs one arm of the A/B: same seed, same pulse schedule, only
-// the NoHedge knob differs.
-func hedgeArm(seed int64, cfg HedgeBenchConfig, noHedge bool) HedgeArm {
+// hedgeRound runs one arm of the A/B: same seed, same pulse schedule, only
+// the NoHedge knob differs. It counts the hedges fired and won.
+func hedgeRound(seed int64, noHedge bool) sample {
+	before := abd.GlobalResilienceMetrics()
 	nodeCfg := simNodeConfig()
 	nodeCfg.DeadlineFloor = 2 * time.Millisecond
 	nodeCfg.NoHedge = noHedge
@@ -309,47 +271,39 @@ func hedgeArm(seed int64, cfg HedgeBenchConfig, noHedge bool) HedgeArm {
 
 	warmSpacing := 150 * time.Millisecond
 	scheduleOp(sim, exp, 0, cats.OpPut{NodeKey: coord, Key: key, Value: []byte("seed")})
-	for i := 1; i < cfg.WarmOps; i++ {
+	for i := 1; i < hedgeWarmOps; i++ {
 		scheduleOp(sim, exp, time.Duration(i)*warmSpacing, cats.OpGet{NodeKey: coord, Key: key})
 	}
-	warmEnd := time.Duration(cfg.WarmOps) * warmSpacing
+	warmEnd := time.Duration(hedgeWarmOps) * warmSpacing
 
 	pulseSpacing := 500 * time.Millisecond
-	for i := 0; i < cfg.Ops; i++ {
+	for i := 0; i < hedgeOps; i++ {
 		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
-		extra, plen := cfg.SlowExtra, cfg.PulseLen
-		sim.ScheduleAt(at, "hedge:pulse", func() { emu.SlowNode(slowAddr, extra, plen) })
+		sim.ScheduleAt(at, "hedge:pulse", func() { emu.SlowNode(slowAddr, hedgeSlowExtra, hedgePulseLen) })
 		scheduleOp(sim, exp, at, cats.OpGet{NodeKey: coord, Key: key})
 	}
 
-	preMeasure := cfg.WarmOps // history index where the pulsed ops start
-	sim.Run(warmEnd + time.Second + time.Duration(cfg.Ops)*pulseSpacing + nodeCfg.OpTimeout*4)
+	sim.Run(warmEnd + time.Second + hedgeOps*pulseSpacing + nodeCfg.OpTimeout*4)
+	after := abd.GlobalResilienceMetrics()
 
-	history := host.OpHistory()
-	var lat []time.Duration
-	arm := HedgeArm{}
-	for _, r := range history {
+	var s sample
+	for _, r := range host.OpHistory() {
 		if r.Kind != "get" {
 			continue
 		}
 		if !r.OK {
-			arm.Failed++
+			s.failed++
 			continue
 		}
-		lat = append(lat, r.End.Sub(r.Start))
+		s.lat = append(s.lat, r.End.Sub(r.Start))
 	}
 	// Drop the warm-up gets (completion order tracks issue order here: the
 	// workload is strictly sequential in virtual time).
-	if len(lat) > preMeasure-1 {
-		lat = lat[preMeasure-1:]
+	if len(s.lat) > hedgeWarmOps-1 {
+		s.lat = s.lat[hedgeWarmOps-1:]
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	arm.Ops = len(lat)
-	if len(lat) == 0 {
-		return arm
-	}
-	arm.P50 = lat[len(lat)/2]
-	arm.P99 = lat[len(lat)*99/100]
-	arm.Max = lat[len(lat)-1]
-	return arm
+	s.done = uint64(len(s.lat)) + s.failed
+	s.count("hedges", after.Hedges-before.Hedges)
+	s.count("hedge_wins", after.HedgeWins-before.HedgeWins)
+	return s
 }

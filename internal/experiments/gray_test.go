@@ -13,20 +13,24 @@ func TestGraySurvivesStragglers(t *testing.T) {
 // hedging must strictly shorten the p99 tail, and the improvement must come
 // from actual hedges (inert-gate detection).
 func TestHedgeBenchImproves(t *testing.T) {
-	r := HedgeBench(5, HedgeBenchConfig{})
-	if r.Off.Ops == 0 || r.On.Ops == 0 {
-		t.Fatalf("arm produced no measured ops: off=%d on=%d", r.Off.Ops, r.On.Ops)
+	r, err := HedgeBench(5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Off.Failed > 0 || r.On.Failed > 0 {
-		t.Errorf("measured ops failed: off=%d on=%d", r.Off.Failed, r.On.Failed)
+	off, on := r.Arm("off"), r.Arm("on")
+	if off.Done == off.Failed || on.Done == on.Failed {
+		t.Fatalf("arm produced no measured ops: off=%d on=%d", off.Done-off.Failed, on.Done-on.Failed)
 	}
-	if r.Hedges == 0 {
+	if off.Failed > 0 || on.Failed > 0 {
+		t.Errorf("measured ops failed: off=%d on=%d", off.Failed, on.Failed)
+	}
+	if on.Counts["hedges"] == 0 {
 		t.Fatalf("hedging arm fired no hedges — benchmark is inert")
 	}
-	if r.On.P99 >= r.Off.P99 {
-		t.Errorf("hedging did not improve p99: off=%v on=%v", r.Off.P99, r.On.P99)
+	if on.P99 >= off.P99 {
+		t.Errorf("hedging did not improve p99: off=%v on=%v", off.P99, on.P99)
 	}
 	t.Logf("off: p50=%v p99=%v max=%v | on: p50=%v p99=%v max=%v | hedges=%d wins=%d improvement=%.1fx",
-		r.Off.P50, r.Off.P99, r.Off.Max, r.On.P50, r.On.P99, r.On.Max,
-		r.Hedges, r.HedgeWins, r.P99Improvement)
+		off.P50, off.P99, off.Max, on.P50, on.P99, on.Max,
+		on.Counts["hedges"], on.Counts["hedge_wins"], r.Metrics["improvement"])
 }

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
-	"repro/internal/abd"
 	"repro/internal/cats"
 	"repro/internal/core"
 	"repro/internal/handoff"
@@ -19,7 +19,7 @@ import (
 // kvClusterConfig returns relaxed node timings for the real-time KV
 // benchmarks: background protocol periods are slow so the measurement
 // reflects the operation path.
-func kvClusterConfig(noCoalesce bool) cats.NodeConfig {
+func kvClusterConfig() cats.NodeConfig {
 	return cats.NodeConfig{
 		ReplicationDegree: 3,
 		// The benchmark clusters are faultless, so the failure detector only
@@ -35,24 +35,20 @@ func kvClusterConfig(noCoalesce bool) cats.NodeConfig {
 		// Short per-attempt timeout: an op that catches a replica mid-epoch-
 		// sync (Busy nack) only retries on timeout, and a multi-second
 		// straggler would dominate the round's wall-clock in both variants.
-		OpTimeout:  500 * time.Millisecond,
-		NoCoalesce: noCoalesce,
+		OpTimeout: 500 * time.Millisecond,
 	}
 }
 
-// buildKVCluster boots a real-time loopback cluster of n nodes with full
-// per-message marshalling (the realistic framed-transport cost coalescing
-// amortizes) and waits for ring convergence. The caller must Shutdown the
-// returned runtime.
-func buildKVCluster(n int, noCoalesce bool) (*core.Runtime, *cats.Simulator, *core.Port) {
+// bootKVCluster boots a real-time loopback cluster of n nodes with full
+// per-message marshalling (the realistic framed-transport cost) and waits
+// for ring convergence. A non-empty dataRoot gives every node a durable
+// store under it. The caller must Shutdown the returned runtime.
+func bootKVCluster(n int, cfg cats.NodeConfig, dataRoot string) (*core.Runtime, *cats.Simulator, *core.Port) {
 	registry := network.NewLoopbackRegistry(network.WithSerialization())
-	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, kvClusterConfig(noCoalesce))
+	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, cfg)
+	host.DataDirRoot = dataRoot
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
-	var exp *core.Port
-	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
+	exp := bootHost(rt, "Main", host)
 	rt.WaitQuiescence(5 * time.Second)
 	for _, k := range spreadKeys(n) {
 		_ = core.TriggerOn(exp, cats.JoinNode{Key: k})
@@ -63,301 +59,146 @@ func buildKVCluster(n int, noCoalesce bool) (*core.Runtime, *cats.Simulator, *co
 	return rt, host, exp
 }
 
-// percentiles returns p50 and p99 of the (unsorted) latency samples.
-func percentiles(lat []time.Duration) (p50, p99 time.Duration) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2], s[len(s)*99/100]
-}
-
-// QuorumABResult summarizes the interleaved coalescing A/B comparison.
-type QuorumABResult struct {
-	Nodes    int
-	Clients  int
-	OpsRound int
-	Rounds   int
-
-	CoalescedOpsPS float64
-	LegacyOpsPS    float64
-	// Improvement is CoalescedOpsPS/LegacyOpsPS - 1.
-	Improvement  float64
-	CoalescedP50 time.Duration
-	CoalescedP99 time.Duration
-	LegacyP50    time.Duration
-	LegacyP99    time.Duration
-	// Batches/BatchedOps are the frames flushed and ops carried during the
-	// coalesced rounds (coordinator-side counters summed over nodes).
-	Batches    uint64
-	BatchedOps uint64
-}
-
-// quorumRound runs one closed-loop round on a fresh cluster and returns
-// completed ops, elapsed load time, latencies, and the coordinators' batch
-// counters.
-func quorumRound(nodes, clients, ops int, noCoalesce bool) (done uint64, elapsed time.Duration, lat []time.Duration, batches, batchedOps uint64) {
-	rt, host, exp := buildKVCluster(nodes, noCoalesce)
+// kvRound boots a fresh 3-node cluster at replication degree 3 (every
+// key maps to the same replica set), runs one closed-loop load of `ops`
+// ops from `clients` clients over 64 keys of 256 B values, and returns
+// it as a sample counting the coordinators' multi-op frames and the
+// process-wide WAL counter deltas.
+func kvRound(cfg cats.NodeConfig, dataRoot string, clients, ops int, readFraction float64) sample {
+	kv0 := kvstore.GlobalMetrics()
+	rt, host, exp := bootKVCluster(3, cfg, dataRoot)
 	defer rt.Shutdown()
-
 	_ = core.TriggerOn(exp, cats.StartLoad{
 		Clients:      clients,
 		TotalOps:     ops,
 		ValueSize:    256,
-		ReadFraction: 0.5,
+		ReadFraction: readFraction,
 		Keys:         64,
 	})
 	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		if m := host.Metrics(); int(m.LoadDone) >= ops {
-			break
-		}
+	for time.Now().Before(deadline) && int(host.Metrics().LoadDone) < ops {
 		time.Sleep(2 * time.Millisecond)
 	}
 	rt.WaitQuiescence(5 * time.Second)
 
 	m := host.Metrics()
+	kv := kvstore.GlobalMetrics()
+	s := sample{
+		done:    m.LoadDone,
+		failed:  m.GetsFailed + m.PutsFailed,
+		elapsed: m.LoadEnd.Sub(m.LoadStart),
+		lat:     m.OpLatencies,
+	}
 	for _, ref := range host.AliveNodes() {
 		if p, ok := host.Peer(ref.Key); ok && p.Node != nil {
 			b, bo := p.Node.ABD.BatchStats()
-			batches += b
-			batchedOps += bo
+			s.count("batches", b)
+			s.count("batched_ops", bo)
 		}
 	}
-	return m.LoadDone, m.LoadEnd.Sub(m.LoadStart), m.OpLatencies, batches, batchedOps
+	s.count("wal_appends", kv.WALAppends-kv0.WALAppends)
+	s.count("wal_bytes", kv.WALBytes-kv0.WALBytes)
+	s.count("wal_syncs", kv.WALSyncs-kv0.WALSyncs)
+	s.count("snapshots", kv.Snapshots-kv0.Snapshots)
+	return s
 }
 
 // QuorumAB measures the coalesced quorum path against the uncoalesced one
-// on the multi-op same-replica-set workload: `nodes` nodes at replication
-// degree 3 (with nodes == 3 every key maps to the same replica set), many
-// closed-loop clients so quorum phases pile up at the coordinators. Rounds
-// are interleaved, alternating which variant goes first, so machine drift
-// cancels instead of biasing one side.
-func QuorumAB(nodes, clients, opsPerRound, rounds int) QuorumABResult {
-	if nodes <= 0 {
-		nodes = 3
-	}
-	if clients <= 0 {
-		clients = 48
-	}
-	if opsPerRound <= 0 {
-		opsPerRound = 4000
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	res := QuorumABResult{Nodes: nodes, Clients: clients, OpsRound: opsPerRound, Rounds: rounds}
-
-	var coDone, legDone uint64
-	var coTime, legTime time.Duration
-	var coLat, legLat []time.Duration
-	runOne := func(noCoalesce bool) {
-		done, elapsed, lat, b, bo := quorumRound(nodes, clients, opsPerRound, noCoalesce)
-		if noCoalesce {
-			legDone += done
-			legTime += elapsed
-			legLat = append(legLat, lat...)
-		} else {
-			coDone += done
-			coTime += elapsed
-			coLat = append(coLat, lat...)
-			res.Batches += b
-			res.BatchedOps += bo
+// on kvRound's same-replica-set workload, half reads: many closed-loop
+// clients pile quorum phases onto each coordinator, and coalescing
+// carries same-destination phases in one frame per peer. Metric
+// "improvement" is coalesced ÷ uncoalesced ops/s - 1.
+func QuorumAB(clients, opsPerRound, rounds int) (Result, error) {
+	round := func(noCoalesce bool) func() (sample, error) {
+		return func() (sample, error) {
+			cfg := kvClusterConfig()
+			cfg.NoCoalesce = noCoalesce
+			return kvRound(cfg, "", clients, opsPerRound, 0.5), nil
 		}
 	}
-	for r := 0; r < rounds; r++ {
-		if r%2 == 0 {
-			runOne(true)
-			runOne(false)
-		} else {
-			runOne(false)
-			runOne(true)
-		}
+	res, err := runAB(rounds, true, arm{"uncoalesced", round(true)}, arm{"coalesced", round(false)})
+	if a := res.Arms; err == nil && a[0].OpsPS > 0 {
+		res.Metrics = map[string]float64{"improvement": a[1].OpsPS/a[0].OpsPS - 1}
 	}
-
-	if coTime > 0 {
-		res.CoalescedOpsPS = float64(coDone) / coTime.Seconds()
-	}
-	if legTime > 0 {
-		res.LegacyOpsPS = float64(legDone) / legTime.Seconds()
-	}
-	if res.LegacyOpsPS > 0 {
-		res.Improvement = res.CoalescedOpsPS/res.LegacyOpsPS - 1
-	}
-	res.CoalescedP50, res.CoalescedP99 = percentiles(coLat)
-	res.LegacyP50, res.LegacyP99 = percentiles(legLat)
-	return res
+	return res, err
 }
 
-// QuorumTraceArm is one sampling configuration in the tracing-overhead
-// comparison.
-type QuorumTraceArm struct {
-	SampleEvery int // 0 = tracing off, 64 = default sampling, 1 = every op
-	OpsPS       float64
-	P50, P99    time.Duration
-	Spans       uint64    // spans recorded during this arm's rounds
-	RoundPS     []float64 // per-round ops/s, in round order (noise diagnostic)
+// QuorumTraceAB measures the cost of the span layer on QuorumAB's
+// coalesced workload at three sampling rates: off, the default 1 in 64,
+// and every op. Each round records into a fresh private span ring
+// (counted as "spans"); the process sampling rate and ring are restored
+// after it. Metrics "sampled_overhead" and "always_overhead" are the
+// paired per-round overheads against tracing off (see overhead).
+func QuorumTraceAB(clients, opsPerRound, rounds int) (Result, error) {
+	round := func(every int) func() (sample, error) {
+		return func() (sample, error) {
+			ring := tracing.NewRing(1 << 15)
+			prevRing := tracing.SwapDefault(ring)
+			prevSample := tracing.SetSampleEvery(every)
+			s := kvRound(kvClusterConfig(), "", clients, opsPerRound, 0.5)
+			tracing.SetSampleEvery(prevSample)
+			tracing.SwapDefault(prevRing)
+			s.count("spans", ring.Recorded())
+			return s, nil
+		}
+	}
+	res, err := runAB(rounds, true, arm{"off", round(0)}, arm{"1-in-64", round(64)}, arm{"always", round(1)})
+	if a := res.Arms; err == nil {
+		res.Metrics = map[string]float64{
+			"sampled_overhead": overhead(a[1], a[0]),
+			"always_overhead":  overhead(a[2], a[0]),
+		}
+	}
+	return res, err
 }
 
-// QuorumTraceABResult summarizes the tracing-overhead A/B/C comparison on
-// the coalesced quorum workload.
-type QuorumTraceABResult struct {
-	Nodes    int
-	Clients  int
-	OpsRound int
-	Rounds   int
-
-	Off     QuorumTraceArm // tracing disabled
-	Sampled QuorumTraceArm // default 1-in-64 sampling
-	Always  QuorumTraceArm // every op traced
-
-	// Overheads are 1 - median over rounds of (arm ops/s ÷ same-round off
-	// ops/s): positive means the arm is slower than tracing-off. Pairing
-	// within a round compares runs seconds apart, so slow machine drift
-	// across a multi-minute run cancels instead of polluting the estimate;
-	// the median discards rounds a noise spike ruined. Gate: Sampled <= 3%.
-	SampledOverhead float64
-	AlwaysOverhead  float64
-}
-
-// QuorumTraceAB measures the cost of the span layer on the coalesced
-// quorum workload at three sampling rates — off, the default 1 in 64, and
-// every op — with rounds interleaved in rotating order so machine drift
-// cancels instead of biasing one arm. Each arm runs against a fresh
-// private span ring; the process sampling rate and ring are restored on
-// return.
-func QuorumTraceAB(nodes, clients, opsPerRound, rounds int) QuorumTraceABResult {
-	if nodes <= 0 {
-		nodes = 3
-	}
-	if clients <= 0 {
-		clients = 48
-	}
-	if opsPerRound <= 0 {
-		opsPerRound = 4000
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	res := QuorumTraceABResult{Nodes: nodes, Clients: clients, OpsRound: opsPerRound, Rounds: rounds}
-	res.Off.SampleEvery, res.Sampled.SampleEvery, res.Always.SampleEvery = 0, 64, 1
-
-	type acc struct {
-		done    uint64
-		time    time.Duration
-		lat     []time.Duration
-		spans   uint64
-		roundPS []float64 // per-round ops/s, indexed by round
-	}
-	accs := map[int]*acc{0: {}, 64: {}, 1: {}}
-	runOne := func(every int) {
-		a := accs[every]
-		ring := tracing.NewRing(1 << 15)
-		prevRing := tracing.SwapDefault(ring)
-		prevSample := tracing.SetSampleEvery(every)
-		done, elapsed, lat, _, _ := quorumRound(nodes, clients, opsPerRound, false)
-		tracing.SetSampleEvery(prevSample)
-		tracing.SwapDefault(prevRing)
-		a.done += done
-		a.time += elapsed
-		a.lat = append(a.lat, lat...)
-		a.spans += ring.Recorded()
-		ps := 0.0
-		if elapsed > 0 {
-			ps = float64(done) / elapsed.Seconds()
-		}
-		a.roundPS = append(a.roundPS, ps)
-	}
-	// One discarded warm-up round: the first round of a process run absorbs
-	// cold caches and any initial CPU-quota burst, which would otherwise be
-	// credited entirely to whichever arm runs first.
-	warm, _, _, _, _ := quorumRound(nodes, clients, opsPerRound, false)
-	_ = warm
-
-	order := []int{0, 64, 1}
-	for r := 0; r < rounds; r++ {
-		for i := range order {
-			runOne(order[(r+i)%len(order)])
-		}
-	}
-
-	fill := func(arm *QuorumTraceArm) {
-		a := accs[arm.SampleEvery]
-		if a.time > 0 {
-			arm.OpsPS = float64(a.done) / a.time.Seconds()
-		}
-		arm.P50, arm.P99 = percentiles(a.lat)
-		arm.Spans = a.spans
-		arm.RoundPS = a.roundPS
-	}
-	fill(&res.Off)
-	fill(&res.Sampled)
-	fill(&res.Always)
-	overhead := func(every int) float64 {
-		off := accs[0].roundPS
-		arm := accs[every].roundPS
-		ratios := make([]float64, 0, len(arm))
-		for r := range arm {
-			if r < len(off) && off[r] > 0 {
-				ratios = append(ratios, arm[r]/off[r])
+// WALBench measures the throughput cost of the durability layer: the same
+// write-heavy kvRound (a quarter reads: durability sits on the put path)
+// against the in-memory store ("mem") and against the WAL under each sync
+// policy. Every durable round gets a fresh data directory, so no arm pays
+// replay costs for another's data. Metrics "durability_cost" and
+// "interval_cost" are 1 - that arm's ops/s ÷ mem's.
+func WALBench(clients, opsPerRound, rounds int) (Result, error) {
+	mem := arm{"mem", func() (sample, error) {
+		return kvRound(kvClusterConfig(), "", clients, opsPerRound, 0.25), nil
+	}}
+	durable := func(name string, sync kvstore.SyncPolicy) arm {
+		return arm{name, func() (sample, error) {
+			dir, err := os.MkdirTemp("", "walbench-"+name+"-*")
+			if err != nil {
+				return sample{}, err
 			}
-		}
-		if len(ratios) == 0 {
-			return 0
-		}
-		sort.Float64s(ratios)
-		return 1 - ratios[len(ratios)/2]
+			defer os.RemoveAll(dir)
+			cfg := kvClusterConfig()
+			cfg.WALSync = sync
+			cfg.WALSyncEvery = 2 * time.Millisecond
+			cfg.WALSnapshotBytes = 8 << 20 // large: measure the log path, not snapshot churn
+			return kvRound(cfg, dir, clients, opsPerRound, 0.25), nil
+		}}
 	}
-	res.SampledOverhead = overhead(64)
-	res.AlwaysOverhead = overhead(1)
-	return res
-}
-
-// MillionKVResult summarizes the large-store open-loop profile.
-type MillionKVResult struct {
-	Nodes       int
-	Keys        int // distinct keys preloaded per replica
-	Ops         int // operations issued open-loop
-	RatePS      int // issue rate
-	Done        uint64
-	Failed      uint64
-	OpsPS       float64
-	P50         time.Duration
-	P99         time.Duration
-	AllocsPerOp float64
-	// Heap occupancy around the load phase (preloaded store resident in
-	// both), to show the sharded store serves traffic with stable memory.
-	HeapBeforeMB float64
-	HeapAfterMB  float64
-	// Per-shard occupancy of one replica's store after the run.
-	ShardKeys      int
-	NonEmptyShards int
-	MinShardKeys   int
-	MaxShardKeys   int
+	res, err := runAB(rounds, true, mem, durable("never", kvstore.SyncNever),
+		durable("interval", kvstore.SyncInterval), durable("always", kvstore.SyncAlways))
+	if a := res.Arms; err == nil && a[0].OpsPS > 0 {
+		res.Metrics = map[string]float64{
+			"durability_cost": 1 - a[3].OpsPS/a[0].OpsPS,
+			"interval_cost":   1 - a[2].OpsPS/a[0].OpsPS,
+		}
+	}
+	return res, err
 }
 
 // MillionKV preloads every replica's sharded store with `keys` distinct
 // registers (directly through the store — populating through quorum writes
 // would measure the protocol, not the store) and then drives an open-loop
 // read-heavy workload at ratePS operations per second against the full
-// keyspace, reporting completed throughput, p50/p99, allocation rate, and
-// per-shard occupancy. Open-loop means the issue rate does not adapt to
-// completions: latencies include any queueing the store layer causes.
-func MillionKV(keys, ops, ratePS int) MillionKVResult {
-	if keys <= 0 {
-		keys = 1_000_000
-	}
-	if ops <= 0 {
-		ops = 30_000
-	}
-	if ratePS <= 0 {
-		ratePS = 1_500
-	}
+// keyspace. Its one arm reports completed throughput and latency (open
+// loop: the issue rate does not adapt to completions, so latencies include
+// any queueing the store layer causes) and counts one replica's per-shard
+// occupancy; metrics report the allocation rate and the live heap before
+// and after the load.
+func MillionKV(keys, ops, ratePS int) Result {
 	const nodes = 3 // degree 3: every replica covers the whole keyspace
-	res := MillionKVResult{Nodes: nodes, Keys: keys, Ops: ops, RatePS: ratePS}
-
-	rt, host, exp := buildKVCluster(nodes, false)
+	rt, host, exp := bootKVCluster(nodes, kvClusterConfig(), "")
 	defer rt.Shutdown()
 
 	// Preload each replica's store directly, identically (version-gated
@@ -387,19 +228,19 @@ func MillionKV(keys, ops, ratePS int) MillionKVResult {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&msBefore)
-	res.HeapBeforeMB = float64(msBefore.HeapAlloc) / (1 << 20)
 
 	// Open-loop issue at a fixed rate across the whole keyspace.
 	rng := rand.New(rand.NewSource(1))
 	interval := time.Second / time.Duration(ratePS)
 	opVal := make([]byte, 128)
+	coordinators := spreadKeys(nodes)
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
 			time.Sleep(d)
 		}
 		key := millionKey(rng.Intn(keys))
-		node := spreadKeys(nodes)[rng.Intn(nodes)]
+		node := coordinators[rng.Intn(nodes)]
 		if rng.Float64() < 0.9 {
 			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: node, Key: key})
 		} else {
@@ -415,41 +256,41 @@ func MillionKV(keys, ops, ratePS int) MillionKVResult {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	elapsed := time.Since(start)
+	s := sample{
+		failed:  m.GetsFailed + m.PutsFailed,
+		elapsed: time.Since(start),
+		lat:     m.OpLatencies,
+	}
+	s.done = m.GetsOK + m.PutsOK + s.failed
 
-	// GC before the after-measurement so HeapAfterMB is live occupancy
+	// GC before the after-measurement so the after heap is live occupancy
 	// (the preloaded store plus whatever the load retained), not transient
 	// message garbage. Mallocs is cumulative and unaffected.
 	runtime.GC()
 	runtime.ReadMemStats(&msAfter)
-	res.HeapAfterMB = float64(msAfter.HeapAlloc) / (1 << 20)
-	res.Done = m.GetsOK + m.PutsOK
-	res.Failed = m.GetsFailed + m.PutsFailed
-	if elapsed > 0 {
-		res.OpsPS = float64(res.Done) / elapsed.Seconds()
+	metrics := map[string]float64{
+		"heap_before_mb": float64(msBefore.HeapAlloc) / (1 << 20),
+		"heap_after_mb":  float64(msAfter.HeapAlloc) / (1 << 20),
 	}
-	res.P50, res.P99 = percentiles(m.OpLatencies)
-	if res.Done > 0 {
-		res.AllocsPerOp = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(res.Done)
+	if s.done > 0 {
+		metrics["allocs_per_op"] = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(s.done)
 	}
 
+	s.count("keys", uint64(keys))
 	if refs := host.AliveNodes(); len(refs) > 0 {
 		if p, ok := host.Peer(refs[0].Key); ok && p.Node != nil {
 			st := p.Node.ABD.Store().Stats()
-			res.ShardKeys = st.Keys
-			res.NonEmptyShards = st.NonEmptyShards
-			res.MinShardKeys, res.MaxShardKeys = st.PerShard[0], st.PerShard[0]
+			lo, hi := st.PerShard[0], st.PerShard[0]
 			for _, n := range st.PerShard[1:] {
-				if n < res.MinShardKeys {
-					res.MinShardKeys = n
-				}
-				if n > res.MaxShardKeys {
-					res.MaxShardKeys = n
-				}
+				lo, hi = min(lo, n), max(hi, n)
 			}
+			s.count("shard_keys", uint64(st.Keys))
+			s.count("non_empty_shards", uint64(st.NonEmptyShards))
+			s.count("min_shard_keys", uint64(lo))
+			s.count("max_shard_keys", uint64(hi))
 		}
 	}
-	return res
+	return Result{Arms: []ArmResult{pool("million", []sample{s})}, Metrics: metrics}
 }
 
 // waitForEpochQuiescence blocks until no node's replica-group epoch and no
@@ -475,18 +316,7 @@ func waitForEpochQuiescence(host *cats.Simulator, still, max time.Duration) {
 		// A replica inside a sync window is never quiet: the handoff keys
 		// counter only moves when the round completes, so an in-flight
 		// round would otherwise look still.
-		if a.syncing || b.syncing {
-			return false
-		}
-		if a.keys != b.keys || len(a.epochs) != len(b.epochs) {
-			return false
-		}
-		for i := range a.epochs {
-			if a.epochs[i] != b.epochs[i] {
-				return false
-			}
-		}
-		return true
+		return !a.syncing && !b.syncing && a.keys == b.keys && slices.Equal(a.epochs, b.epochs)
 	}
 	deadline := time.Now().Add(max)
 	last, lastChange := take(), time.Now()
@@ -505,7 +335,3 @@ func waitForEpochQuiescence(host *cats.Simulator, still, max time.Duration) {
 
 // millionKey names the i-th preloaded register.
 func millionKey(i int) string { return fmt.Sprintf("m-%d", i) }
-
-// Ensure the abd metrics sources are linked into benchmark binaries even
-// when only this file's experiments are used.
-var _ = abd.GlobalBatchMetrics
