@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 BENCHCPU ?= 4
 
-.PHONY: all help build vet test test-race reconfig bench bench-dispatch bench-gate scenarios fuzz ci ci-local
+.PHONY: all help build vet test test-race reconfig bench bench-dispatch bench-gate scenarios fuzz loc ci ci-local
 
 all: build
 
@@ -30,6 +30,8 @@ help:
 	@echo "                  reports"
 	@echo "  fuzz            wire decoder fuzz targets: the network package's, 30s"
 	@echo "                  each, and each protocol package's message set, 10s each"
+	@echo "  loc             non-test Go lines outside perfbench/: the total, then"
+	@echo "                  each internal/* and cmd/* package"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        full local mirror of the gating CI matrix (lint, tests,"
 	@echo "                  alloc gates, scenarios, bench-gate)"
@@ -109,6 +111,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzFramePrefix' -fuzztime 30s ./internal/network/
 	for t in $(WIRE_FUZZ); do \
 		$(GO) test -run '^$$' -fuzz "$${t#*:}" -fuzztime 10s ./internal/$${t%%:*}/ || exit 1; \
+	done
+
+# Non-test Go line counts, the figure each CHANGES.md entry reports its
+# net delta in. perfbench/ (its own module) and dot-directories are out.
+LOC_FILES = find $(1) -path '*/.*' -prune -o -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+loc:
+	@printf '%-24s %6d\n' total $$($(call LOC_FILES,.))
+	@for d in internal/* cmd/*; do \
+		printf '%-24s %6d\n' $$d $$($(call LOC_FILES,$$d)); \
 	done
 
 ci: vet build test-race

@@ -6,7 +6,6 @@
 //	catsbench -exp latency   # C1: end-to-end op latency, in-process cluster
 //	catsbench -exp scaling   # C2: read throughput vs cluster size, simulated
 //	catsbench -exp stealing  # C3: work-stealing batch ablation
-//	catsbench -exp quorum    # C4: coalesced vs uncoalesced ABD quorum rounds (A/B)
 //	catsbench -exp trace     # C6: distributed-tracing overhead on the quorum workload (A/B/C)
 //	catsbench -exp million   # C5: sharded store under a large keyspace, open loop
 //	catsbench -exp wal       # C7: per-shard WAL durability cost across sync policies (A/B)
@@ -64,16 +63,10 @@ var entries = []entry{
 		about: "paper: stealing a batch of half the victim's ready components shows a\n" +
 			"considerable improvement over stealing small numbers; all readiness is\n" +
 			"placed on one worker queue to maximize stealing pressure"},
-	{name: "quorum", doc: "C4: coalesced vs uncoalesced ABD quorum rounds (A/B)",
-		about: "3 nodes at replication degree 3: every key hits the same replica set;\n" +
-			"closed-loop clients pile concurrent ops onto each coordinator, and\n" +
-			"coalescing carries same-destination phases in one frame per peer",
-		run: func(_ int64, quick bool) (experiments.Result, error) {
-			return experiments.QuorumAB(abSize(quick))
-		}},
 	{name: "trace", doc: "C6: distributed-tracing overhead on the quorum workload (A/B/C)",
-		about: "the C4 coalesced workload at three sampling rates; the overheads are the\n" +
-			"paired per-round ops/s ratios against tracing off. They are reported, not\n" +
+		about: "3 nodes at replication degree 3, half reads: closed-loop clients pile\n" +
+			"concurrent ops onto one replica set, traced at three sampling rates. The\n" +
+			"overheads are the paired per-round ops/s ratios against tracing off, reported, not\n" +
 			"gated (shared runners are too noisy): TestTracingUnsampledZeroAlloc in the\n" +
 			"CI alloc job gates the tracing cost, since unsampled ops must allocate nothing",
 		run: func(_ int64, quick bool) (experiments.Result, error) {

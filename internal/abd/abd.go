@@ -57,64 +57,6 @@ var PutGetPortType = core.NewPortType("PutGet",
 	core.Indication[PutResponse](),
 )
 
-// Replica wire messages. Every quorum phase carries the coordinator's
-// group-view epoch; replicas refuse epochs behind their own (consistent
-// quorums: an attempt's acks all come from one epoch, never straddling two
-// memberships) and acks echo the epoch they were served in.
-
-type readMsg struct {
-	network.Header
-	tracing.Context
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-	Key     string
-}
-
-type readAckMsg struct {
-	network.Header
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-	Version Version
-	Value   []byte
-	Found   bool
-}
-
-type writeMsg struct {
-	network.Header
-	tracing.Context
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-	Key     string
-	Version Version
-	Value   []byte
-}
-
-type writeAckMsg struct {
-	network.Header
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-}
-
-// nackMsg refuses a quorum phase. Busy means the replica cannot serve
-// right now; with RetryAfter zero it is mid-handoff (state for the new
-// view still in flight) and the coordinator just waits, with RetryAfter
-// set the replica shed the phase under load and the coordinator re-offers
-// it after the hint (plus jitter). A non-Busy nack means the
-// coordinator's epoch was stale and Epoch is the hint to restart the
-// attempt against a fresh view.
-type nackMsg struct {
-	network.Header
-	OpID       uint64
-	Attempt    int
-	Epoch      uint64
-	Busy       bool
-	RetryAfter time.Duration
-}
-
 type opTimeout struct {
 	timer.Timeout
 	OpID uint64
@@ -171,10 +113,11 @@ type op struct {
 	// Adaptive-deadline and hedge state. deadline is this attempt's full
 	// budget; the attempt timer first fires at deadline/hedgeStageDiv (the
 	// hedge checkpoint, hedgeChecked) and then re-arms for the remainder.
-	// ackedMask is the per-phase bitmap (by group index) of replicas whose
-	// ack already counted — the dedup that discards a hedge loser's late
-	// duplicate. attemptAt/phaseSentAt are always set (unlike the
-	// trace-gated clocks below): they feed rtt observation and budgets.
+	// ackedMask is the per-phase bitmap (by group index; groups are at most
+	// MaxReplicationDegree) of replicas whose ack already counted — the
+	// dedup that discards a hedge loser's late duplicate.
+	// attemptAt/phaseSentAt are always set (unlike the trace-gated clocks
+	// below): they feed rtt observation and budgets.
 	deadline     time.Duration
 	attemptAt    time.Time
 	phaseSentAt  time.Time
@@ -199,11 +142,18 @@ type op struct {
 	phaseStart   time.Time
 }
 
+// MaxReplicationDegree is the largest replica group an operation can run
+// against: per-phase ack dedup keeps one bit per group member in a uint64
+// (op.ackedMask), and a member past bit 63 could have a duplicate ack
+// counted twice toward the quorum.
+const MaxReplicationDegree = 64
+
 // Config parameterizes the ABD component.
 type Config struct {
 	// Self is the local node reference (its key is the writer identity).
 	Self ident.NodeRef
-	// ReplicationDegree is the target replica group size (default 3).
+	// ReplicationDegree is the target replica group size (default 3, at
+	// most MaxReplicationDegree).
 	ReplicationDegree int
 	// OpTimeout is the per-attempt timeout before retrying (default 1s).
 	OpTimeout time.Duration
@@ -213,10 +163,6 @@ type Config struct {
 	// one store between the replica and its handoff component; nil creates
 	// a private store (tests).
 	Store *kvstore.Store
-	// NoCoalesce disables quorum coalescing: every phase goes out as its
-	// own single-op message immediately. Exists for A/B benchmarking and
-	// protocol-level tests of the uncoalesced flow.
-	NoCoalesce bool
 
 	// DeadlineFloor and DeadlineCeil clamp the adaptive per-peer deadline
 	// (defaults OpTimeout/20 and OpTimeout). The ceiling doubles as the
@@ -338,9 +284,13 @@ type ABD struct {
 	statRedeliveries, statSlowHints                uint64
 }
 
-// New creates an ABD component definition.
+// New creates an ABD component definition. It panics when
+// cfg.ReplicationDegree exceeds MaxReplicationDegree.
 func New(cfg Config) *ABD {
 	cfg.applyDefaults()
+	if cfg.ReplicationDegree > MaxReplicationDegree {
+		panic(fmt.Sprintf("abd: replication degree %d exceeds %d", cfg.ReplicationDegree, MaxReplicationDegree))
+	}
 	st := cfg.Store
 	if st == nil {
 		st = NewStore()
@@ -401,11 +351,6 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, a.rout, a.handleFound)
 	core.Subscribe(ctx, a.hop, a.handleSyncStarted)
 	core.Subscribe(ctx, a.hop, a.handleSynced)
-	core.Subscribe(ctx, a.net, a.handleRead)
-	core.Subscribe(ctx, a.net, a.handleReadAck)
-	core.Subscribe(ctx, a.net, a.handleWrite)
-	core.Subscribe(ctx, a.net, a.handleWriteAck)
-	core.Subscribe(ctx, a.net, a.handleNack)
 	core.Subscribe(ctx, a.net, a.handleOpBatch)
 	core.Subscribe(ctx, a.net, a.handleOpBatchAck)
 	core.Subscribe(ctx, a.tmr, a.handleTimeout)
@@ -436,8 +381,8 @@ func (a *ABD) Epoch() uint64 { return a.localEpoch }
 // refusing quorum phases with Busy nacks (tests and benchmark settling).
 func (a *ABD) Syncing() bool { return a.syncing }
 
-// BatchStats returns coalescing counters: multi-op frames flushed by this
-// coordinator and the quorum phases they carried.
+// BatchStats returns coalescing counters: quorum frames flushed by this
+// coordinator and the phases they carried.
 func (a *ABD) BatchStats() (batches, batchedOps uint64) {
 	return a.statBatchesSent, a.statBatchedOps
 }
@@ -565,27 +510,21 @@ func (a *ABD) handleFound(f router.FoundSuccessor) {
 	}
 }
 
-// handleReadAck feeds a legacy single-op read ack into the quorum state
-// machine; batch acks arrive through handleOpBatchAck and share ingest.
-func (a *ABD) handleReadAck(m readAckMsg) {
-	a.ingestReadAck(m.Source(), m.OpID, m.Attempt, m.Version, m.Value, m.Found)
-}
-
 // ingestReadAck collects the read quorum, then imposes the chosen
 // version+value in phase 2.
-func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, version Version, value []byte, found bool) {
-	o, ok := a.ops[opID]
-	if !ok || o.phase != phaseRead || attempt != o.attempt {
+func (a *ABD) ingestReadAck(src network.Address, r readAckEntry) {
+	o, ok := a.ops[r.OpID]
+	if !ok || o.phase != phaseRead || r.Attempt != o.attempt {
 		return // stale ack from a previous attempt: its group may differ
 	}
 	if !a.countAck(o, src) {
 		return // duplicate: a hedge loser's late ack, discarded
 	}
 	o.readAcks++
-	if o.bestVer.Less(version) {
-		o.bestVer, o.bestVal, o.bestFound = version, value, found
+	if o.bestVer.Less(r.Version) {
+		o.bestVer, o.bestVal, o.bestFound = r.Version, r.Value, r.Found
 		o.bestCount = 1
-	} else if version == o.bestVer {
+	} else if r.Version == o.bestVer {
 		o.bestCount++
 	}
 	if o.readAcks < o.quorum {
@@ -637,16 +576,10 @@ func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, versi
 	}
 }
 
-// handleWriteAck feeds a legacy single-op write ack into the quorum state
-// machine; batch acks arrive through handleOpBatchAck and share ingest.
-func (a *ABD) handleWriteAck(m writeAckMsg) {
-	a.ingestWriteAck(m.Source(), m.OpID, m.Attempt)
-}
-
 // ingestWriteAck collects the write quorum and completes the operation.
-func (a *ABD) ingestWriteAck(src network.Address, opID uint64, attempt int) {
-	o, ok := a.ops[opID]
-	if !ok || o.phase != phaseWrite || attempt != o.attempt {
+func (a *ABD) ingestWriteAck(src network.Address, w writeAckEntry) {
+	o, ok := a.ops[w.OpID]
+	if !ok || o.phase != phaseWrite || w.Attempt != o.attempt {
 		return
 	}
 	if !a.countAck(o, src) {
@@ -660,28 +593,28 @@ func (a *ABD) ingestWriteAck(src network.Address, opID uint64, attempt int) {
 	a.finish(o, "")
 }
 
-// handleNack reacts to a replica refusing a quorum phase. Busy nacks just
+// ingestNack reacts to a replica refusing a quorum phase. Busy nacks just
 // feed the epoch floor — the replica is syncing and the attempt can still
 // quorum on the others (or time out). A stale nack means this attempt's
 // epoch can never quorum: restart immediately against a fresh view.
-func (a *ABD) handleNack(m nackMsg) {
-	o, ok := a.ops[m.OpID]
-	if !ok || m.Attempt != o.attempt {
+func (a *ABD) ingestNack(src network.Address, n nackEntry) {
+	o, ok := a.ops[n.OpID]
+	if !ok || n.Attempt != o.attempt {
 		return
 	}
-	if m.Epoch > a.epochFloor {
-		a.epochFloor = m.Epoch
+	if n.Epoch > a.epochFloor {
+		a.epochFloor = n.Epoch
 	}
 	if o.phase == phaseIdle {
 		return // between attempts (backoff): the wire attempt is superseded
 	}
-	if m.Busy {
+	if n.Busy {
 		a.statNacksBusy++
 		// A RetryAfter hint means the replica shed under load (vs the bare
 		// mid-handoff Busy, where the coordinator just waits): re-offer the
 		// phase to that replica after the hint plus jitter.
-		if m.RetryAfter > 0 {
-			a.scheduleRedeliver(o, m)
+		if n.RetryAfter > 0 {
+			a.scheduleRedeliver(o, src, n)
 		}
 		return
 	}
@@ -785,82 +718,36 @@ func (a *ABD) handleTimeout(t opTimeout) {
 
 // --- replica: register storage --------------------------------------------------
 
-// serveEpoch applies the replica-side epoch gate shared by reads and
-// writes: stale epochs are refused with a hint, phases arriving mid-sync
-// are refused as Busy (the state backing an ack may still be in flight),
-// and served epochs merge into the replica's own — per-node epochs are
+// serveEpoch applies the replica-side epoch gate to one quorum phase:
+// stale epochs are refused with a hint, phases arriving mid-sync are
+// refused as Busy (the state backing an ack may still be in flight), and
+// served epochs merge into the replica's own — per-node epochs are
 // Lamport clocks, not globally equal counters, so "equal or newer" is the
-// servable condition.
-func (a *ABD) serveEpoch(m network.Message, tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) bool {
-	if epoch < a.localEpoch {
+// servable condition. A refusal returns the nack entry to send back.
+func (a *ABD) serveEpoch(tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) (nackEntry, bool) {
+	n := nackEntry{OpID: opID, Attempt: attempt, Epoch: a.localEpoch}
+	switch {
+	case epoch < a.localEpoch:
 		a.statStaleServed++
 		a.recordServe(tc, kind, opID, attempt, "nack-stale")
-		a.ctx.Trigger(nackMsg{
-			Header: network.Reply(m), OpID: opID, Attempt: attempt,
-			Epoch: a.localEpoch, Busy: false,
-		}, a.net)
-		return false
-	}
-	if a.syncing {
+	case a.syncing:
+		n.Busy = true
 		a.recordServe(tc, kind, opID, attempt, "nack-busy")
-		a.ctx.Trigger(nackMsg{
-			Header: network.Reply(m), OpID: opID, Attempt: attempt,
-			Epoch: a.localEpoch, Busy: true,
-		}, a.net)
-		return false
-	}
-	// Admission control: a replica under pressure sheds the phase with a
-	// retry-after hint instead of queueing it unboundedly. Shedding comes
-	// after the epoch checks — a stale coordinator learns its epoch is
-	// stale even when the replica is overloaded.
-	if a.shouldShed() {
+	case a.shouldShed():
+		// Admission control: a replica under pressure sheds the phase with
+		// a retry-after hint instead of queueing it unboundedly. Shedding
+		// comes after the epoch checks — a stale coordinator learns its
+		// epoch is stale even when the replica is overloaded.
 		a.statSheds++
 		shedsTotal.Add(1)
+		n.Busy, n.RetryAfter = true, a.cfg.ShedRetryAfter
 		a.recordServe(tc, kind, opID, attempt, "shed")
-		a.ctx.Trigger(nackMsg{
-			Header: network.Reply(m), OpID: opID, Attempt: attempt,
-			Epoch: a.localEpoch, Busy: true, RetryAfter: a.cfg.ShedRetryAfter,
-		}, a.net)
-		return false
+	default:
+		a.shedServed++
+		if epoch > a.localEpoch {
+			a.localEpoch = epoch
+		}
+		return n, true
 	}
-	a.shedServed++
-	if epoch > a.localEpoch {
-		a.localEpoch = epoch
-	}
-	return true
-}
-
-func (a *ABD) handleRead(m readMsg) {
-	if !a.serveEpoch(m, m.Context, "serve.read", m.OpID, m.Attempt, m.Epoch) {
-		return
-	}
-	ver, val, found := a.store.Read(m.Key)
-	a.recordServe(m.Context, "serve.read", m.OpID, m.Attempt, "ok")
-	a.ctx.Trigger(readAckMsg{
-		Header:  network.Reply(m),
-		OpID:    m.OpID,
-		Attempt: m.Attempt,
-		Epoch:   a.localEpoch,
-		Version: ver,
-		Value:   val,
-		Found:   found,
-	}, a.net)
-}
-
-func (a *ABD) handleWrite(m writeMsg) {
-	if !a.serveEpoch(m, m.Context, "serve.write", m.OpID, m.Attempt, m.Epoch) {
-		return
-	}
-	// The ack is the durability promise: on a durable store ApplyDurable
-	// returns only after the write is in the shard's WAL (fsynced under
-	// sync=always). A WAL failure therefore withholds the ack — the
-	// coordinator retries or fails the op, but never reports a write
-	// stored that a restart would lose.
-	if _, err := a.store.ApplyDurable(m.Key, m.Version, m.Value); err != nil {
-		a.recordServe(m.Context, "serve.write", m.OpID, m.Attempt, "wal-error")
-		a.ctx.Log().Warn("abd: wal append failed; write not acked", "key", m.Key, "err", err)
-		return
-	}
-	a.recordServe(m.Context, "serve.write", m.OpID, m.Attempt, "ok")
-	a.ctx.Trigger(writeAckMsg{Header: network.Reply(m), OpID: m.OpID, Attempt: m.Attempt, Epoch: a.localEpoch}, a.net)
+	return n, false
 }

@@ -288,10 +288,12 @@ func TestUnanimousReadSkipsImposeRound(t *testing.T) {
 	if len(nodes[1].gets) != 1 || string(nodes[1].gets[0].Value) != "v1" {
 		t.Fatalf("get: %+v", nodes[1].gets)
 	}
-	// One-round read: 3 readMsg + up to 3 readAck = at most 6 messages
-	// (no writeMsg/writeAck round).
-	if delta := messageCount(nodes) - before; delta > 6 {
-		t.Fatalf("unanimous read used %d messages, want <= 6 (impose skipped)", delta)
+	// One-round read: a request frame and its reply to each of the two
+	// remote replicas = exactly 4 emulated messages (the coordinator's
+	// own replica is served by zero-latency self-delivery, which the
+	// emulator does not count; an impose round would add 4 more).
+	if delta := messageCount(nodes) - before; delta != 4 {
+		t.Fatalf("unanimous read used %d messages, want 4 (impose skipped)", delta)
 	}
 }
 
@@ -329,6 +331,18 @@ func TestManyKeysManyOps(t *testing.T) {
 	if totalGets != keys {
 		t.Fatalf("gets %d, want %d", totalGets, keys)
 	}
+}
+
+// TestNewRefusesGroupsPastAckDedup: a replication degree past the
+// ack-dedup bitmap's width is refused at construction.
+func TestNewRefusesGroupsPastAckDedup(t *testing.T) {
+	New(Config{ReplicationDegree: MaxReplicationDegree})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted replication degree %d", MaxReplicationDegree+1)
+		}
+	}()
+	New(Config{ReplicationDegree: MaxReplicationDegree + 1})
 }
 
 func TestConfigDefaultsABD(t *testing.T) {

@@ -196,8 +196,7 @@ func (o *op) groupIndex(addr network.Address) int {
 func (a *ABD) countAck(o *op, src network.Address) bool {
 	sentAt := o.phaseSentAt
 	hedgeWin := false
-	idx := o.groupIndex(src)
-	if idx >= 0 && idx < 64 {
+	if idx := o.groupIndex(src); idx >= 0 {
 		bit := uint64(1) << uint(idx)
 		if o.ackedMask&bit != 0 {
 			return false // the loser of a hedged race: discard
@@ -271,7 +270,7 @@ func (a *ABD) maybeHedge(o *op) {
 func (a *ABD) hedgeTarget(o *op) int {
 	best, bestD := -1, time.Duration(0)
 	for i, n := range o.group {
-		if i < 64 && o.ackedMask&(uint64(1)<<uint(i)) != 0 {
+		if o.ackedMask&(uint64(1)<<uint(i)) != 0 {
 			continue
 		}
 		d := a.peerDeadline(n.Addr)
@@ -334,8 +333,8 @@ func (a *ABD) recordHedge(o *op, dst network.Address) {
 // scheduleRedeliver honors a shed replica's retry-after hint: the current
 // phase is re-offered to that replica after the hint ±25% jitter, so a
 // herd of shed coordinators doesn't return in step.
-func (a *ABD) scheduleRedeliver(o *op, m nackMsg) {
-	d := m.RetryAfter
+func (a *ABD) scheduleRedeliver(o *op, src network.Address, n nackEntry) {
+	d := n.RetryAfter
 	d = d*3/4 + time.Duration(a.ctx.Rand().Int63n(int64(d)/2+1))
 	a.statRedeliveries++
 	redeliveriesTotal.Add(1)
@@ -346,7 +345,7 @@ func (a *ABD) scheduleRedeliver(o *op, m nackMsg) {
 			OpID:    o.id,
 			Attempt: o.attempt,
 			Phase:   o.phase,
-			Dst:     m.Source(),
+			Dst:     src,
 		},
 	}, a.tmr)
 }
@@ -358,7 +357,7 @@ func (a *ABD) handleRedeliver(t redeliverTimeout) {
 	if !ok || o.attempt != t.Attempt || o.phase != t.Phase {
 		return // op finished, advanced, or restarted since the shed
 	}
-	if idx := o.groupIndex(t.Dst); idx >= 0 && idx < 64 && o.ackedMask&(uint64(1)<<uint(idx)) != 0 {
+	if idx := o.groupIndex(t.Dst); idx >= 0 && o.ackedMask&(uint64(1)<<uint(idx)) != 0 {
 		return // already acked meanwhile (e.g. a hedge filled the hole)
 	}
 	a.resendPhase(o, t.Dst)

@@ -1,25 +1,32 @@
 package abd
 
 import (
+	"time"
+
 	"repro/internal/network"
 	"repro/internal/timer"
 	"repro/internal/tracing"
 )
 
-// Quorum coalescing. A coordinator under load runs many operations against
-// the same replica set concurrently; sending each read/impose phase as its
-// own frame pays per-message codec and transport overhead N times for
-// traffic that is all going to the same peers. Instead the coordinator
-// queues phases into per-peer batches and flushes them on a zero-delay
-// timer event: every phase generated while the flush event sits in the
-// component's queue rides in the same frame, mirroring the per-worker
-// fanoutBatch idiom in the forwarding layer. Replicas serve a batch in one
-// handler execution and ack all served ops in one reply; the epoch gate
-// stays strictly per-op, so a stale operation inside a batch nacks
-// individually while the rest of the batch acks.
+// The quorum protocol is one frame pair. A coordinator under load runs many
+// operations against the same replica set concurrently; sending each
+// read/impose phase as its own frame would pay per-message codec and
+// transport overhead N times for traffic that is all going to the same
+// peers. Instead every phase is queued into a per-peer batch, and the
+// batches are flushed on a zero-delay timer event: every phase generated
+// while the flush event sits in the component's queue rides in the same
+// opBatchMsg, mirroring the per-worker fanoutBatch idiom in the forwarding
+// layer. A replica serves a frame in one handler execution and answers it
+// with exactly one opBatchAckMsg. The epoch gate stays strictly per op, so
+// a stale operation inside a frame comes back as a nack entry while the
+// rest of the frame acks.
+//
+// Every phase carries the coordinator's group-view epoch; replicas refuse
+// epochs behind their own (consistent quorums: an attempt's acks all come
+// from one epoch, never straddling two memberships).
 
-// readPhase is one coalesced phase-1 query. The embedded trace context is
-// per-op: each sampled operation inside a batch keeps its own identity.
+// readPhase is one phase-1 query. The embedded trace context is per-op:
+// each sampled operation inside a frame keeps its own identity.
 type readPhase struct {
 	tracing.Context
 	OpID    uint64
@@ -28,7 +35,7 @@ type readPhase struct {
 	Key     string
 }
 
-// writePhase is one coalesced phase-2 impose.
+// writePhase is one phase-2 impose.
 type writePhase struct {
 	tracing.Context
 	OpID    uint64
@@ -40,10 +47,9 @@ type writePhase struct {
 }
 
 // opBatchMsg carries every phase a coordinator owed one replica at flush
-// time. Batches of one downgrade to the legacy readMsg/writeMsg instead.
-// The envelope's trace context is the first sampled entry's — it annotates
-// the transport frame (net.send spans) without the transport having to
-// look inside the batch.
+// time, one or many. The envelope's trace context is the first sampled
+// entry's — it annotates the transport frame (net.send spans) without the
+// transport having to look inside the batch.
 type opBatchMsg struct {
 	network.Header
 	tracing.Context
@@ -66,14 +72,32 @@ type writeAckEntry struct {
 	Attempt int
 }
 
-// opBatchAckMsg acks every op of a batch the replica could serve, in one
-// reply. Refused ops are absent — they were nacked individually through
-// nackMsg. Epoch is the replica's post-merge view epoch.
+// nackEntry refuses one phase. Busy means the replica cannot serve right
+// now; with RetryAfter zero it is mid-handoff (state for the new view
+// still in flight) and the coordinator just waits, with RetryAfter set the
+// replica shed the phase under load and the coordinator re-offers it after
+// the hint (plus jitter). A non-Busy nack means the coordinator's epoch
+// was stale and Epoch is the hint to restart the attempt against a fresh
+// view. Epoch is the replica's view at the refusal, which can trail the
+// frame's Epoch when a later entry of the same frame merged a newer one.
+type nackEntry struct {
+	OpID       uint64
+	Attempt    int
+	Epoch      uint64
+	Busy       bool
+	RetryAfter time.Duration
+}
+
+// opBatchAckMsg answers one opBatchMsg: an ack for every phase the replica
+// served and a nack for every phase it refused. A write whose WAL append
+// failed gets neither, so it times out at the coordinator. Epoch is the
+// replica's post-merge view epoch.
 type opBatchAckMsg struct {
 	network.Header
 	Epoch     uint64
 	ReadAcks  []readAckEntry
 	WriteAcks []writeAckEntry
+	Nacks     []nackEntry
 }
 
 // flushTimeout drains the coordinator's pending per-peer batches. It is
@@ -114,83 +138,25 @@ func (a *ABD) pendFor(dst network.Address) *peerBatch {
 	return b
 }
 
-// sendRead dispatches one phase-1 query to dst: immediately as a legacy
-// readMsg when coalescing is off, else into dst's pending batch.
+// sendRead queues one phase-1 query for dst's next frame.
 func (a *ABD) sendRead(dst network.Address, r readPhase) {
-	if a.cfg.NoCoalesce {
-		a.ctx.Trigger(readMsg{
-			Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-			Context: r.Context,
-			OpID:    r.OpID,
-			Attempt: r.Attempt,
-			Epoch:   r.Epoch,
-			Key:     r.Key,
-		}, a.net)
-		return
-	}
 	b := a.pendFor(dst)
 	b.reads = append(b.reads, r)
 }
 
-// sendWrite dispatches one phase-2 impose to dst.
+// sendWrite queues one phase-2 impose for dst's next frame.
 func (a *ABD) sendWrite(dst network.Address, w writePhase) {
-	if a.cfg.NoCoalesce {
-		a.ctx.Trigger(writeMsg{
-			Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-			Context: w.Context,
-			OpID:    w.OpID,
-			Attempt: w.Attempt,
-			Epoch:   w.Epoch,
-			Key:     w.Key,
-			Version: w.Version,
-			Value:   w.Value,
-		}, a.net)
-		return
-	}
 	b := a.pendFor(dst)
 	b.writes = append(b.writes, w)
 }
 
-// handleFlush drains every pending batch, one frame per peer. A batch
-// carrying a single phase downgrades to the legacy single-op message: the
-// batch envelope buys nothing there, and single-op flows (and their message
-// counts, which tests pin) stay byte-for-byte identical to the uncoalesced
-// protocol.
+// handleFlush drains every pending batch, one frame per peer.
 func (a *ABD) handleFlush(flushTimeout) {
 	a.flushArmed = false
 	for _, dst := range a.pendOrder {
 		b := a.pend[dst]
 		delete(a.pend, dst)
 		n := len(b.reads) + len(b.writes)
-		if n == 0 {
-			continue
-		}
-		if n == 1 {
-			if len(b.reads) == 1 {
-				r := b.reads[0]
-				a.ctx.Trigger(readMsg{
-					Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-					Context: r.Context,
-					OpID:    r.OpID,
-					Attempt: r.Attempt,
-					Epoch:   r.Epoch,
-					Key:     r.Key,
-				}, a.net)
-			} else {
-				w := b.writes[0]
-				a.ctx.Trigger(writeMsg{
-					Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-					Context: w.Context,
-					OpID:    w.OpID,
-					Attempt: w.Attempt,
-					Epoch:   w.Epoch,
-					Key:     w.Key,
-					Version: w.Version,
-					Value:   w.Value,
-				}, a.net)
-			}
-			continue
-		}
 		a.statBatchesSent++
 		a.statBatchedOps += uint64(n)
 		observeBatch(n)
@@ -221,23 +187,34 @@ func (a *ABD) handleFlush(flushTimeout) {
 	a.pendOrder = a.pendOrder[:0]
 }
 
+// sized returns s, or an empty slice with room for n entries when s is
+// still nil: each reply slice is allocated at most once, sized to the
+// frame, and only if the frame needs it.
+func sized[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, 0, n)
+	}
+	return s
+}
+
 // --- replica side ---------------------------------------------------------------
 
-// handleOpBatch serves a coalesced frame. Every op passes the epoch gate
-// individually: stale or mid-sync ops nack alone through the legacy
-// nackMsg path, the rest are served and acknowledged together in one
-// opBatchAckMsg. Serving merges newer epochs as it goes, so ops later in
-// the batch are gated against the freshest view the batch itself revealed.
+// handleOpBatch serves one frame and answers it with one opBatchAckMsg.
+// Every op passes the epoch gate individually: stale, mid-sync and shed
+// ops become nack entries, the rest are served. Serving merges newer
+// epochs as it goes, so ops later in the frame are gated against the
+// freshest view the frame itself revealed.
 func (a *ABD) handleOpBatch(m opBatchMsg) {
-	var readAcks []readAckEntry
-	var writeAcks []writeAckEntry
+	ack := opBatchAckMsg{Header: network.Reply(m)}
+	frame := len(m.Reads) + len(m.Writes)
 	for _, r := range m.Reads {
-		if !a.serveEpoch(m, r.Context, "serve.read", r.OpID, r.Attempt, r.Epoch) {
+		if n, ok := a.serveEpoch(r.Context, "serve.read", r.OpID, r.Attempt, r.Epoch); !ok {
+			ack.Nacks = append(sized(ack.Nacks, frame), n)
 			continue
 		}
 		ver, val, found := a.store.Read(r.Key)
 		a.recordServe(r.Context, "serve.read", r.OpID, r.Attempt, "ok")
-		readAcks = append(readAcks, readAckEntry{
+		ack.ReadAcks = append(sized(ack.ReadAcks, len(m.Reads)), readAckEntry{
 			OpID:    r.OpID,
 			Attempt: r.Attempt,
 			Version: ver,
@@ -246,40 +223,43 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 		})
 	}
 	for _, w := range m.Writes {
-		if !a.serveEpoch(m, w.Context, "serve.write", w.OpID, w.Attempt, w.Epoch) {
+		if n, ok := a.serveEpoch(w.Context, "serve.write", w.OpID, w.Attempt, w.Epoch); !ok {
+			ack.Nacks = append(sized(ack.Nacks, frame), n)
 			continue
 		}
-		// Same durability gate as the unbatched path: no WAL append, no
-		// ack entry — the op times out at the coordinator instead of
-		// being acked un-durably.
+		// The ack is the durability promise: on a durable store
+		// ApplyDurable returns only after the write is in the shard's WAL
+		// (fsynced under sync=always). A WAL failure therefore withholds
+		// the ack — the coordinator retries or fails the op, but never
+		// reports a write stored that a restart would lose.
 		if _, err := a.store.ApplyDurable(w.Key, w.Version, w.Value); err != nil {
 			a.recordServe(w.Context, "serve.write", w.OpID, w.Attempt, "wal-error")
-			a.ctx.Log().Warn("abd: wal append failed; batched write not acked", "key", w.Key, "err", err)
+			a.ctx.Log().Warn("abd: wal append failed; write not acked", "key", w.Key, "err", err)
 			continue
 		}
 		a.recordServe(w.Context, "serve.write", w.OpID, w.Attempt, "ok")
-		writeAcks = append(writeAcks, writeAckEntry{OpID: w.OpID, Attempt: w.Attempt})
+		ack.WriteAcks = append(sized(ack.WriteAcks, len(m.Writes)), writeAckEntry{OpID: w.OpID, Attempt: w.Attempt})
 	}
-	if len(readAcks)+len(writeAcks) == 0 {
-		return // every op nacked individually; nothing to ack
+	if len(ack.ReadAcks)+len(ack.WriteAcks)+len(ack.Nacks) == 0 {
+		return // every write failed its WAL append: nothing to answer
 	}
-	a.ctx.Trigger(opBatchAckMsg{
-		Header:    network.Reply(m),
-		Epoch:     a.localEpoch,
-		ReadAcks:  readAcks,
-		WriteAcks: writeAcks,
-	}, a.net)
+	ack.Epoch = a.localEpoch
+	a.ctx.Trigger(ack, a.net)
 }
 
-// handleOpBatchAck fans a batch ack back into the per-op quorum state
-// machines. Phase-2 imposes generated while ingesting read acks are queued
-// into the pending batches, so they coalesce into the next flush.
+// handleOpBatchAck fans one replica answer back into the per-op quorum
+// state machines, nacks first. Phase-2 imposes generated while ingesting
+// read acks are queued into the pending batches, so they coalesce into
+// the next flush.
 func (a *ABD) handleOpBatchAck(m opBatchAckMsg) {
 	src := m.Source()
+	for _, n := range m.Nacks {
+		a.ingestNack(src, n)
+	}
 	for _, r := range m.ReadAcks {
-		a.ingestReadAck(src, r.OpID, r.Attempt, r.Version, r.Value, r.Found)
+		a.ingestReadAck(src, r)
 	}
 	for _, w := range m.WriteAcks {
-		a.ingestWriteAck(src, w.OpID, w.Attempt)
+		a.ingestWriteAck(src, w)
 	}
 }

@@ -3,96 +3,17 @@ package abd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/ident"
-	"repro/internal/network"
-	"repro/internal/simulation"
 )
 
-// batchRecord is one replica answer to a coalesced frame, in arrival order
-// — the event-stream view of the batched wire protocol.
-type batchRecord struct {
-	kind    string // "batchAck" | "nack"
-	epoch   uint64
-	opID    uint64 // nacks only
-	busy    bool
-	readIDs []uint64 // batchAck: acked read ops in batch order
-	writIDs []uint64 // batchAck: acked write ops in batch order
-}
-
-// batchProbe speaks the batched replica protocol directly and records the
-// full answer stream — the ordering oracle for per-op epoch gating inside
-// coalesced frames.
-type batchProbe struct {
-	self network.Address
-	emu  *simulation.NetworkEmulator
-
-	ctx  *core.Ctx
-	net  *core.Port
-	recs []batchRecord
-}
-
-func (p *batchProbe) Setup(ctx *core.Ctx) {
-	p.ctx = ctx
-	p.net = ctx.Requires(network.PortType)
-	core.Subscribe(ctx, p.net, func(m opBatchAckMsg) {
-		r := batchRecord{kind: "batchAck", epoch: m.Epoch}
-		for _, a := range m.ReadAcks {
-			r.readIDs = append(r.readIDs, a.OpID)
-		}
-		for _, a := range m.WriteAcks {
-			r.writIDs = append(r.writIDs, a.OpID)
-		}
-		p.recs = append(p.recs, r)
-	})
-	core.Subscribe(ctx, p.net, func(m nackMsg) {
-		p.recs = append(p.recs, batchRecord{kind: "nack", epoch: m.Epoch, opID: m.OpID, busy: m.Busy})
-	})
-}
-
-func (p *batchProbe) send(to network.Address, m opBatchMsg) {
-	m.Header = network.NewHeader(p.self, to)
-	p.ctx.Trigger(m, p.net)
-}
-
-// newBatchWorld builds n replicas (epochNodes, so tests drive their sync
-// windows) plus a batch probe.
-func newBatchWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *batchProbe) {
-	t.Helper()
-	sim := simulation.New(seed)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
-	group := make([]ident.NodeRef, n)
-	for i := range group {
-		group[i] = nodeRef(i + 1)
-	}
-	nodes := make([]*epochNode, n)
-	for i := range nodes {
-		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu}
-	}
-	probe := &batchProbe{self: network.Address{Host: "bprobe", Port: 1}, emu: emu}
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
-		}
-		trC := ctx.Create("probe-net", emu.Transport(probe.self))
-		probeC := ctx.Create("probe", probe)
-		ctx.Connect(probeC.Required(network.PortType), trC.Provided(network.PortType))
-	}))
-	sim.Settle()
-	return sim, emu, nodes, probe
-}
-
 // TestBatchStaleOpNacksAloneRestAcks is the coalescing event-stream
-// oracle: a mixed-epoch batch is served per op — the stale ops are refused
-// individually through nackMsg with the replica's epoch as hint, while
-// every current-epoch op in the same frame is served and acknowledged
-// together in exactly one opBatchAckMsg.
+// oracle: a mixed-epoch frame is served per op and answered by exactly
+// one reply frame — the stale ops come back as nack entries with the
+// replica's epoch as hint, every current-epoch op as an ack entry.
 func TestBatchStaleOpNacksAloneRestAcks(t *testing.T) {
-	sim, _, nodes, probe := newBatchWorld(t, 3, 41)
+	sim, _, nodes, probe := newReplicaWorld(t, 3, 41, nil)
 	r := nodes[0]
 	r.syncWindow(3, 1, true) // replica now at epoch 3
 	sim.Settle()
@@ -109,33 +30,14 @@ func TestBatchStaleOpNacksAloneRestAcks(t *testing.T) {
 	})
 	sim.Run(50 * time.Millisecond)
 
-	var nacks []batchRecord
-	var acks []batchRecord
-	for _, rec := range probe.recs {
-		switch rec.kind {
-		case "nack":
-			nacks = append(nacks, rec)
-		case "batchAck":
-			acks = append(acks, rec)
-		}
+	want := []answer{
+		{kind: "readAck", op: 1, epoch: 3},
+		{kind: "writeAck", op: 3, epoch: 3},
+		{kind: "nack", op: 2, epoch: 3},
+		{kind: "nack", op: 4, epoch: 3},
 	}
-	if len(nacks) != 2 {
-		t.Fatalf("stale ops produced %d nacks, want 2: %+v", len(nacks), probe.recs)
-	}
-	for _, n := range nacks {
-		if n.busy || n.epoch != 3 {
-			t.Fatalf("stale nack %+v, want non-busy with hint epoch 3", n)
-		}
-		if n.opID != 2 && n.opID != 4 {
-			t.Fatalf("nack for op %d, want the stale ops 2/4", n.opID)
-		}
-	}
-	if len(acks) != 1 {
-		t.Fatalf("served ops produced %d batch acks, want exactly 1: %+v", len(acks), probe.recs)
-	}
-	a := acks[0]
-	if a.epoch != 3 || len(a.readIDs) != 1 || a.readIDs[0] != 1 || len(a.writIDs) != 1 || a.writIDs[0] != 3 {
-		t.Fatalf("batch ack %+v, want epoch 3 with read op 1 and write op 3", a)
+	if probe.frames != 1 || !slices.Equal(probe.answers, want) {
+		t.Fatalf("%d reply frames carrying %+v, want one frame carrying %+v", probe.frames, probe.answers, want)
 	}
 	// The served write landed; the stale one did not.
 	if _, val, ok := r.ABD.Store().Read("c"); !ok || string(val) != "v3" {
@@ -146,10 +48,11 @@ func TestBatchStaleOpNacksAloneRestAcks(t *testing.T) {
 	}
 }
 
-// TestBatchAllStaleNoAck: when every op of a frame is refused there is no
-// empty batch ack — only the individual nacks.
+// TestBatchAllStaleNoAck: when every op of a frame is refused the reply
+// carries no ack entry — one frame of nacks only, each hinting the
+// replica's epoch.
 func TestBatchAllStaleNoAck(t *testing.T) {
-	sim, _, nodes, probe := newBatchWorld(t, 3, 42)
+	sim, _, nodes, probe := newReplicaWorld(t, 3, 42, nil)
 	r := nodes[0]
 	r.syncWindow(5, 1, true)
 	sim.Settle()
@@ -162,21 +65,17 @@ func TestBatchAllStaleNoAck(t *testing.T) {
 	})
 	sim.Run(50 * time.Millisecond)
 
-	if len(probe.recs) != 2 {
-		t.Fatalf("answer stream %+v, want exactly 2 nacks", probe.recs)
-	}
-	for _, rec := range probe.recs {
-		if rec.kind != "nack" || rec.busy || rec.epoch != 5 {
-			t.Fatalf("answer %+v, want stale nack hinting epoch 5", rec)
-		}
+	want := []answer{{kind: "nack", op: 1, epoch: 5}, {kind: "nack", op: 2, epoch: 5}}
+	if probe.frames != 1 || !slices.Equal(probe.answers, want) {
+		t.Fatalf("%d reply frames carrying %+v, want one nacks-only frame carrying %+v", probe.frames, probe.answers, want)
 	}
 }
 
 // TestBatchBusyMidSyncNacksIndividually: a frame arriving inside a sync
 // window is refused Busy per op — the coordinator learns about each op
-// separately, exactly as with single-op messages.
+// separately, in the frame's one reply.
 func TestBatchBusyMidSyncNacksIndividually(t *testing.T) {
-	sim, _, nodes, probe := newBatchWorld(t, 3, 43)
+	sim, _, nodes, probe := newReplicaWorld(t, 3, 43, nil)
 	r := nodes[0]
 	r.syncWindow(4, 1, false) // window stays open
 	sim.Settle()
@@ -187,15 +86,15 @@ func TestBatchBusyMidSyncNacksIndividually(t *testing.T) {
 	})
 	sim.Run(50 * time.Millisecond)
 
-	if len(probe.recs) != 2 {
-		t.Fatalf("answer stream %+v, want 2 busy nacks", probe.recs)
+	if probe.frames != 1 || len(probe.answers) != 2 {
+		t.Fatalf("%d reply frames carrying %+v, want one frame of 2 busy nacks", probe.frames, probe.answers)
 	}
 	seen := map[uint64]bool{}
-	for _, rec := range probe.recs {
-		if rec.kind != "nack" || !rec.busy {
-			t.Fatalf("mid-sync answer %+v, want busy nack", rec)
+	for _, a := range probe.answers {
+		if a.kind != "nack" || !a.busy {
+			t.Fatalf("mid-sync answer %+v, want busy nack", a)
 		}
-		seen[rec.opID] = true
+		seen[a.op] = true
 	}
 	if !seen[1] || !seen[2] {
 		t.Fatalf("busy nacks for ops %v, want 1 and 2", seen)
@@ -209,7 +108,7 @@ func TestBatchBusyMidSyncNacksIndividually(t *testing.T) {
 // scheduling wave ride the same frames, and the coalesced flow still
 // completes every op with linearizable results.
 func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
-	sim, _, nodes, _ := newBatchWorld(t, 3, 44)
+	sim, _, nodes, _ := newReplicaWorld(t, 3, 44, nil)
 	coord := nodes[0]
 
 	const ops = 16
@@ -229,7 +128,7 @@ func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
 		}
 	}
 	batches, batched := coord.ABD.BatchStats()
-	if batches == 0 || batched < 2 {
+	if batched <= batches {
 		t.Fatalf("burst of %d ops coalesced nothing: batches=%d ops=%d", ops, batches, batched)
 	}
 	// Reads see the writes through the same coalesced path.
@@ -249,47 +148,12 @@ func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
 	}
 }
 
-// TestNoCoalesceMatchesLegacyFlow: with the knob off, bursts still resolve
-// and no batch frames are ever sent.
-func TestNoCoalesceMatchesLegacyFlow(t *testing.T) {
-	sim := simulation.New(45)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
-	group := []ident.NodeRef{nodeRef(1), nodeRef(2), nodeRef(3)}
-	nodes := make([]*epochNode, 3)
-	for i := range nodes {
-		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu}
-	}
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
-		}
-	}))
-	sim.Settle()
-	// Flip the knob before any traffic: the config is read per send.
-	for _, nd := range nodes {
-		nd.ABD.cfg.NoCoalesce = true
-	}
-	sim.ScheduleAt(0, "test:burst", func() {
-		for i := 0; i < 8; i++ {
-			nodes[0].put(uint64(i+1), fmt.Sprintf("k%d", i), "v")
-		}
-	})
-	sim.Run(5 * time.Second)
-	if len(nodes[0].puts) != 8 {
-		t.Fatalf("resolved %d puts, want 8", len(nodes[0].puts))
-	}
-	if batches, _ := nodes[0].ABD.BatchStats(); batches != 0 {
-		t.Fatalf("NoCoalesce coordinator sent %d batch frames", batches)
-	}
-}
-
 // TestBatchChurnStress mixes coalesced bursts with rolling sync windows
 // (mid-handoff Busy nacks land inside batch flows) and a crashing replica.
 // Every op must resolve and nothing may leak; with -race this doubles as
 // the concurrency check on the coalescing machinery.
 func TestBatchChurnStress(t *testing.T) {
-	sim, emu, nodes, _ := newBatchWorld(t, 5, 46)
+	sim, emu, nodes, _ := newReplicaWorld(t, 5, 46, nil)
 	rng := rand.New(rand.NewSource(46))
 
 	epoch := uint64(1)
@@ -336,19 +200,20 @@ func TestBatchChurnStress(t *testing.T) {
 	sim.Run(25 * time.Second)
 
 	resolved := 0
-	batches := uint64(0)
+	batches, batched := uint64(0), uint64(0)
 	for i, nd := range nodes {
 		resolved += len(nd.puts) + len(nd.gets)
 		if nd.ABD.InFlight() != 0 {
 			t.Errorf("node %d leaked %d in-flight ops", i+1, nd.ABD.InFlight())
 		}
-		b, _ := nd.ABD.BatchStats()
+		b, bo := nd.ABD.BatchStats()
 		batches += b
+		batched += bo
 	}
 	if resolved != total {
 		t.Fatalf("resolved %d of %d ops", resolved, total)
 	}
-	if batches == 0 {
-		t.Fatal("stress run never coalesced a batch")
+	if batched <= batches {
+		t.Fatalf("stress run never coalesced: %d phases in %d frames", batched, batches)
 	}
 }

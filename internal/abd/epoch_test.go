@@ -86,63 +86,69 @@ func (n *epochNode) syncWindow(epoch, round uint64, close bool) {
 	}
 }
 
-// ackRecord is one replica answer observed on the wire, in arrival order.
-type ackRecord struct {
+// answer is one entry of a replica's reply frame, in arrival order: the
+// event-stream view of the replica protocol.
+type answer struct {
 	kind       string // "readAck" | "writeAck" | "nack"
-	epoch      uint64
-	opID       uint64
+	op         uint64
+	epoch      uint64 // acks: the reply's post-merge epoch; nacks: the hint
 	busy       bool
 	retryAfter time.Duration // shed hint carried by busy nacks
+	frame      int           // index of the reply frame that carried it
 }
 
-// wireProbe is a bare network endpoint that speaks the replica wire
-// protocol directly and records the full answer stream — the
-// KompicsTesting-style harness for the epoch-ordering assertion.
-type wireProbe struct {
+// replicaProbe is a bare network endpoint that speaks the replica
+// protocol directly — it sends opBatchMsg frames and records one answer
+// per entry of every opBatchAckMsg it gets back. It is the
+// KompicsTesting-style harness for the epoch, shed and batch assertions.
+type replicaProbe struct {
 	self network.Address
-	emu  *simulation.NetworkEmulator
 
-	ctx  *core.Ctx
-	net  *core.Port
-	acks []ackRecord
+	ctx     *core.Ctx
+	net     *core.Port
+	frames  int
+	answers []answer
 }
 
-func (p *wireProbe) Setup(ctx *core.Ctx) {
+func (p *replicaProbe) Setup(ctx *core.Ctx) {
 	p.ctx = ctx
 	p.net = ctx.Requires(network.PortType)
-	core.Subscribe(ctx, p.net, func(m readAckMsg) {
-		p.acks = append(p.acks, ackRecord{kind: "readAck", epoch: m.Epoch, opID: m.OpID})
-	})
-	core.Subscribe(ctx, p.net, func(m writeAckMsg) {
-		p.acks = append(p.acks, ackRecord{kind: "writeAck", epoch: m.Epoch, opID: m.OpID})
-	})
-	core.Subscribe(ctx, p.net, func(m nackMsg) {
-		p.acks = append(p.acks, ackRecord{kind: "nack", epoch: m.Epoch, opID: m.OpID, busy: m.Busy, retryAfter: m.RetryAfter})
+	core.Subscribe(ctx, p.net, func(m opBatchAckMsg) {
+		f := p.frames
+		p.frames++
+		for _, a := range m.ReadAcks {
+			p.answers = append(p.answers, answer{kind: "readAck", op: a.OpID, epoch: m.Epoch, frame: f})
+		}
+		for _, a := range m.WriteAcks {
+			p.answers = append(p.answers, answer{kind: "writeAck", op: a.OpID, epoch: m.Epoch, frame: f})
+		}
+		for _, n := range m.Nacks {
+			p.answers = append(p.answers, answer{kind: "nack", op: n.OpID, epoch: n.Epoch, busy: n.Busy, retryAfter: n.RetryAfter, frame: f})
+		}
 	})
 }
 
-func (p *wireProbe) write(to network.Address, opID, epoch uint64, key, val string) {
-	p.ctx.Trigger(writeMsg{
-		Header: network.NewHeader(p.self, to),
-		OpID:   opID, Attempt: 1, Epoch: epoch,
+func (p *replicaProbe) send(to network.Address, m opBatchMsg) {
+	m.Header = network.NewHeader(p.self, to)
+	p.ctx.Trigger(m, p.net)
+}
+
+// write sends a one-phase impose frame.
+func (p *replicaProbe) write(to network.Address, opID, epoch uint64, key, val string) {
+	p.send(to, opBatchMsg{Writes: []writePhase{{
+		OpID: opID, Attempt: 1, Epoch: epoch,
 		Key: key, Version: Version{Seq: opID, Writer: 999}, Value: []byte(val),
-	}, p.net)
+	}}})
 }
 
-func (p *wireProbe) read(to network.Address, opID, epoch uint64, key string) {
-	p.ctx.Trigger(readMsg{
-		Header: network.NewHeader(p.self, to),
-		OpID:   opID, Attempt: 1, Epoch: epoch, Key: key,
-	}, p.net)
+// read sends a one-phase query frame.
+func (p *replicaProbe) read(to network.Address, opID, epoch uint64, key string) {
+	p.send(to, opBatchMsg{Reads: []readPhase{{OpID: opID, Attempt: 1, Epoch: epoch, Key: key}}})
 }
 
-// newEpochWorld builds n replicas (static full group) plus a wire probe.
-func newEpochWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *wireProbe) {
-	return newEpochWorldCfg(t, n, seed, nil)
-}
-
-// newEpochWorldCfg is newEpochWorld with a per-node config override.
-func newEpochWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *wireProbe) {
+// newReplicaWorld builds n replicas (static full group; tweak, if set,
+// overrides each node's config) plus a replica probe.
+func newReplicaWorld(t *testing.T, n int, seed int64, tweak func(*Config)) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *replicaProbe) {
 	t.Helper()
 	sim := simulation.New(seed)
 	emu := simulation.NewNetworkEmulator(sim,
@@ -155,7 +161,7 @@ func newEpochWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*si
 	for i := range nodes {
 		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu, tweak: tweak}
 	}
-	probe := &wireProbe{self: network.Address{Host: "probe", Port: 1}, emu: emu}
+	probe := &replicaProbe{self: network.Address{Host: "probe", Port: 1}}
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
 		for i, nd := range nodes {
 			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
@@ -173,7 +179,7 @@ func newEpochWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*si
 // later answer may ack a phase in epoch N — stale phases are nacked with
 // the newer epoch as hint, and the ack stream's epochs are monotone.
 func TestReplicaNeverAcksStaleEpoch(t *testing.T) {
-	sim, _, nodes, probe := newEpochWorld(t, 3, 31)
+	sim, _, nodes, probe := newReplicaWorld(t, 3, 31, nil)
 	replica := nodes[0].self.Addr
 
 	probe.write(replica, 1, 1, "k", "v1") // epoch 1: served
@@ -186,22 +192,22 @@ func TestReplicaNeverAcksStaleEpoch(t *testing.T) {
 	probe.write(replica, 5, 3, "k", "v5") // current epoch again: served
 	sim.Run(50 * time.Millisecond)
 
-	if len(probe.acks) != 5 {
-		t.Fatalf("answer stream has %d records, want 5: %+v", len(probe.acks), probe.acks)
+	if len(probe.answers) != 5 {
+		t.Fatalf("answer stream has %d records, want 5: %+v", len(probe.answers), probe.answers)
 	}
 	wantKinds := []string{"writeAck", "writeAck", "nack", "nack", "writeAck"}
 	for i, want := range wantKinds {
-		if probe.acks[i].kind != want {
-			t.Fatalf("answer %d is %s, want %s (stream %+v)", i, probe.acks[i].kind, want, probe.acks)
+		if probe.answers[i].kind != want {
+			t.Fatalf("answer %d is %s, want %s (stream %+v)", i, probe.answers[i].kind, want, probe.answers)
 		}
 	}
 	// Stale refusals hint the replica's current epoch.
-	if probe.acks[2].epoch != 3 || probe.acks[3].epoch != 3 {
-		t.Fatalf("nack hints %d/%d, want 3", probe.acks[2].epoch, probe.acks[3].epoch)
+	if probe.answers[2].epoch != 3 || probe.answers[3].epoch != 3 {
+		t.Fatalf("nack hints %d/%d, want 3", probe.answers[2].epoch, probe.answers[3].epoch)
 	}
 	// The event-stream invariant: ack epochs never decrease.
 	hi := uint64(0)
-	for i, a := range probe.acks {
+	for i, a := range probe.answers {
 		if a.kind == "nack" {
 			continue
 		}
@@ -223,15 +229,15 @@ func TestReplicaNeverAcksStaleEpoch(t *testing.T) {
 // refused Busy (state backing an ack may still be in flight) and served
 // again once the matching Synced closes the window.
 func TestReplicaBusyDuringSync(t *testing.T) {
-	sim, _, nodes, probe := newEpochWorld(t, 3, 32)
+	sim, _, nodes, probe := newReplicaWorld(t, 3, 32, nil)
 	r := nodes[0]
 
 	r.syncWindow(5, 1, false) // open, never closed yet
 	sim.Settle()
 	probe.write(r.self.Addr, 1, 5, "k", "v1")
 	sim.Run(50 * time.Millisecond)
-	if len(probe.acks) != 1 || probe.acks[0].kind != "nack" || !probe.acks[0].busy {
-		t.Fatalf("mid-sync answer: %+v, want busy nack", probe.acks)
+	if len(probe.answers) != 1 || probe.answers[0].kind != "nack" || !probe.answers[0].busy {
+		t.Fatalf("mid-sync answer: %+v, want busy nack", probe.answers)
 	}
 	if _, _, ok := r.ABD.Store().Read("k"); ok {
 		t.Fatal("mid-sync write reached the store")
@@ -241,15 +247,15 @@ func TestReplicaBusyDuringSync(t *testing.T) {
 	sim.Settle()
 	probe.write(r.self.Addr, 2, 5, "k", "v2")
 	sim.Run(50 * time.Millisecond)
-	if len(probe.acks) != 2 || probe.acks[1].kind != "writeAck" || probe.acks[1].epoch != 5 {
-		t.Fatalf("post-sync answer: %+v, want writeAck@5", probe.acks)
+	if len(probe.answers) != 2 || probe.answers[1].kind != "writeAck" || probe.answers[1].epoch != 5 {
+		t.Fatalf("post-sync answer: %+v, want writeAck@5", probe.answers)
 	}
 }
 
 // TestSyncedRoundMatching: a Synced for an abandoned (older) round must
 // NOT close a newer sync window — rounds, not epochs, pair the events.
 func TestSyncedRoundMatching(t *testing.T) {
-	sim, _, nodes, probe := newEpochWorld(t, 3, 33)
+	sim, _, nodes, probe := newReplicaWorld(t, 3, 33, nil)
 	r := nodes[0]
 
 	r.syncWindow(5, 1, false)
@@ -258,15 +264,15 @@ func TestSyncedRoundMatching(t *testing.T) {
 	sim.Settle()
 	probe.write(r.self.Addr, 1, 6, "k", "v")
 	sim.Run(50 * time.Millisecond)
-	if len(probe.acks) != 1 || probe.acks[0].kind != "nack" || !probe.acks[0].busy {
-		t.Fatalf("stale Synced closed a live window: %+v", probe.acks)
+	if len(probe.answers) != 1 || probe.answers[0].kind != "nack" || !probe.answers[0].busy {
+		t.Fatalf("stale Synced closed a live window: %+v", probe.answers)
 	}
 	_ = core.TriggerOn(r.hoInner, handoff.Synced{Epoch: 6, Round: 2})
 	sim.Settle()
 	probe.write(r.self.Addr, 2, 6, "k", "v")
 	sim.Run(50 * time.Millisecond)
-	if len(probe.acks) != 2 || probe.acks[1].kind != "writeAck" {
-		t.Fatalf("matching Synced did not reopen service: %+v", probe.acks)
+	if len(probe.answers) != 2 || probe.answers[1].kind != "writeAck" {
+		t.Fatalf("matching Synced did not reopen service: %+v", probe.answers)
 	}
 }
 
@@ -274,7 +280,7 @@ func TestSyncedRoundMatching(t *testing.T) {
 // replicas' epoch gets stale-nacked, restarts the attempt with the hinted
 // epoch, and completes — the op never mixes acks from two epochs.
 func TestCoordinatorRestartsOnStaleNack(t *testing.T) {
-	sim, _, nodes, _ := newEpochWorld(t, 3, 34)
+	sim, _, nodes, _ := newReplicaWorld(t, 3, 34, nil)
 	// Replicas 2 and 3 have moved to epoch 4; coordinator 1 still at 0.
 	nodes[1].syncWindow(4, 1, true)
 	nodes[2].syncWindow(4, 1, true)
@@ -306,7 +312,7 @@ func TestCoordinatorRestartsOnStaleNack(t *testing.T) {
 // epoch, the coordinator gives up after the restart cap instead of
 // spinning forever.
 func TestEndlessViewChangesFailOp(t *testing.T) {
-	sim, _, nodes, _ := newEpochWorld(t, 3, 35)
+	sim, _, nodes, _ := newReplicaWorld(t, 3, 35, nil)
 	// Walk the replicas' epochs upward continuously, always ahead of
 	// whatever the coordinator learned from the last nack.
 	epoch := uint64(1)
@@ -350,7 +356,7 @@ func TestEpochChurnStress(t *testing.T) { epochChurnStress(t) }
 
 func epochChurnStress(t *testing.T) {
 	t.Helper()
-	sim, emu, nodes, _ := newEpochWorld(t, 5, 36)
+	sim, emu, nodes, _ := newReplicaWorld(t, 5, 36, nil)
 	rng := rand.New(rand.NewSource(36))
 
 	// Rolling sync windows: every 150ms some replica enters a brief sync

@@ -172,7 +172,7 @@ func TestShedBusyRedeliveryConverges(t *testing.T) {
 // replica's ack stream stays epoch-monotone across shed/redeliver cycles
 // and an interleaved view change.
 func TestShedNackCarriesRetryAfterAndEpochsStayMonotone(t *testing.T) {
-	sim, _, nodes, probe := newEpochWorldCfg(t, 3, 45, func(c *Config) {
+	sim, _, nodes, probe := newReplicaWorld(t, 3, 45, func(c *Config) {
 		c.ShedServeRate = 1
 		c.ShedRetryAfter = 20 * time.Millisecond
 	})
@@ -183,13 +183,13 @@ func TestShedNackCarriesRetryAfterAndEpochsStayMonotone(t *testing.T) {
 	probe.write(replica, 1, 0, "k", "v1")
 	probe.write(replica, 2, 0, "k", "v2")
 	sim.Run(50 * time.Millisecond)
-	if len(probe.acks) != 2 {
-		t.Fatalf("answer stream has %d records, want 2: %+v", len(probe.acks), probe.acks)
+	if len(probe.answers) != 2 {
+		t.Fatalf("answer stream has %d records, want 2: %+v", len(probe.answers), probe.answers)
 	}
-	if probe.acks[0].kind != "writeAck" {
-		t.Fatalf("first phase in window: %+v, want writeAck", probe.acks[0])
+	if probe.answers[0].kind != "writeAck" {
+		t.Fatalf("first phase in window: %+v, want writeAck", probe.answers[0])
 	}
-	shed := probe.acks[1]
+	shed := probe.answers[1]
 	if shed.kind != "nack" || !shed.busy {
 		t.Fatalf("over-rate phase: %+v, want busy nack", shed)
 	}
@@ -206,19 +206,19 @@ func TestShedNackCarriesRetryAfterAndEpochsStayMonotone(t *testing.T) {
 	})
 	sim.Run(time.Second)
 
-	last := probe.acks[len(probe.acks)-1]
-	if last.kind != "writeAck" || last.opID != 2 || last.epoch != 4 {
+	last := probe.answers[len(probe.answers)-1]
+	if last.kind != "writeAck" || last.op != 2 || last.epoch != 4 {
 		t.Fatalf("redelivered phase: %+v, want writeAck op 2 @ epoch 4", last)
 	}
 	// Monotone per-replica ack epochs: acked (non-nack) epochs never
 	// decrease across the shed/redeliver/view-change sequence.
 	hi := uint64(0)
-	for i, a := range probe.acks {
+	for i, a := range probe.answers {
 		if a.kind == "nack" {
 			continue
 		}
 		if a.epoch < hi {
-			t.Fatalf("answer %d acked epoch %d after epoch %d: %+v", i, a.epoch, hi, probe.acks)
+			t.Fatalf("answer %d acked epoch %d after epoch %d: %+v", i, a.epoch, hi, probe.answers)
 		}
 		hi = a.epoch
 	}

@@ -17,10 +17,10 @@ import (
 	"repro/internal/web"
 )
 
-// batchSizeBuckets are the histogram upper bounds: batches of size
-// ≤2, ≤4, … ≤64, +Inf. Size-1 batches never exist — they downgrade to
-// legacy single-op messages before sending.
-var batchSizeBuckets = [...]uint64{2, 4, 8, 16, 32, 64}
+// batchSizeBuckets are the histogram upper bounds: frames of 1, ≤2, ≤4,
+// … ≤64 phases, +Inf. Every quorum frame is counted, single-phase ones
+// included.
+var batchSizeBuckets = [...]uint64{1, 2, 4, 8, 16, 32, 64}
 
 var (
 	batchesTotal    atomic.Uint64
@@ -69,7 +69,7 @@ func GlobalResilienceMetrics() ResilienceMetrics {
 	}
 }
 
-// observeBatch records one flushed multi-op frame of n ops.
+// observeBatch records one flushed quorum frame of n phases.
 func observeBatch(n int) {
 	batchesTotal.Add(1)
 	batchedOpsTotal.Add(uint64(n))
@@ -82,7 +82,7 @@ func observeBatch(n int) {
 
 // BatchMetrics is a snapshot of the process-wide coalescing counters.
 type BatchMetrics struct {
-	// Batches is the number of multi-op frames flushed.
+	// Batches is the number of quorum frames flushed.
 	Batches uint64
 	// BatchedOps is the number of quorum phases carried in those frames.
 	BatchedOps uint64
@@ -182,11 +182,11 @@ func writePhaseMetrics(m *web.MetricsWriter) {
 func init() {
 	web.RegisterMetricsSource("abd", func(m *web.MetricsWriter) {
 		s := GlobalBatchMetrics()
-		m.Header("cats_abd_batches_total", "counter", "Coalesced multi-op quorum frames flushed.")
+		m.Header("cats_abd_batches_total", "counter", "Quorum frames flushed (opBatchMsg, one per peer per flush).")
 		m.Counter("cats_abd_batches_total", s.Batches)
-		m.Header("cats_abd_batched_ops_total", "counter", "Quorum phases carried in coalesced frames.")
+		m.Header("cats_abd_batched_ops_total", "counter", "Quorum phases carried in flushed frames.")
 		m.Counter("cats_abd_batched_ops_total", s.BatchedOps)
-		m.Header("cats_abd_batch_size", "histogram", "Ops per coalesced quorum frame.")
+		m.Header("cats_abd_batch_size", "histogram", "Quorum phases per flushed frame.")
 		var cum uint64
 		for i, le := range batchSizeBuckets {
 			cum += batchBuckets[i].Load()

@@ -29,7 +29,7 @@ func withTracing(t *testing.T, every, ringSize int) *tracing.Ring {
 // no read phase is served after a write phase.
 func TestStaleNackRestartSpans(t *testing.T) {
 	ring := withTracing(t, 1, 1<<12)
-	sim, _, nodes, _ := newEpochWorld(t, 3, 34)
+	sim, _, nodes, _ := newReplicaWorld(t, 3, 34, nil)
 
 	// Replicas 2 and 3 at epoch 4; coordinator 1 still at 0 → its first
 	// attempt is stale-nacked and restarted against the hinted epoch.
@@ -163,7 +163,7 @@ func TestStaleNackRestartSpans(t *testing.T) {
 // the span ring untouched.
 func TestDisabledTracingRecordsNothing(t *testing.T) {
 	ring := withTracing(t, 0, 64)
-	sim, _, nodes, _ := newEpochWorld(t, 3, 37)
+	sim, _, nodes, _ := newReplicaWorld(t, 3, 37, nil)
 	nodes[0].put(1, "k", "v")
 	sim.Run(time.Second)
 	if len(nodes[0].puts) != 1 || nodes[0].puts[0].Err != "" {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/tracing"
 )
 
-// Wire forms of the ABD quorum messages, the hot-path frame types. Each
+// Wire forms of the ABD quorum frame pair, the hot-path frame types. Each
 // AppendWire is the exact inverse of its registered decoder; the layouts
 // are fixed-width big-endian integers with u32-length-prefixed keys and
 // values, built from the shared network.Append*/WireReader primitives so
@@ -18,23 +18,14 @@ import (
 // (the replica stores them) and a read ack's value (the coordinator
 // returns it), which are copied out of the frame.
 
-// Wire tags 0x01–0x07 are the ABD quorum set (handoff owns 0x10–0x11).
+// Wire tags 0x06–0x07 are the ABD quorum frame pair (handoff owns
+// 0x10–0x11).
 const (
-	wireTagRead       byte = 0x01
-	wireTagReadAck    byte = 0x02
-	wireTagWrite      byte = 0x03
-	wireTagWriteAck   byte = 0x04
-	wireTagNack       byte = 0x05
 	wireTagOpBatch    byte = 0x06
 	wireTagOpBatchAck byte = 0x07
 )
 
 func init() {
-	network.RegisterWire(wireTagRead, "abd.read", decodeReadMsg)
-	network.RegisterWire(wireTagReadAck, "abd.readAck", decodeReadAckMsg)
-	network.RegisterWire(wireTagWrite, "abd.write", decodeWriteMsg)
-	network.RegisterWire(wireTagWriteAck, "abd.writeAck", decodeWriteAckMsg)
-	network.RegisterWire(wireTagNack, "abd.nack", decodeNackMsg)
 	network.RegisterWire(wireTagOpBatch, "abd.opBatch", decodeOpBatchMsg)
 	network.RegisterWire(wireTagOpBatchAck, "abd.opBatchAck", decodeOpBatchAckMsg)
 }
@@ -56,118 +47,6 @@ func appendTrace(dst []byte, c tracing.Context) []byte {
 
 func readTrace(r *network.WireReader) tracing.Context {
 	return tracing.Context{TraceID: r.U64(), SpanID: r.U64()}
-}
-
-func (m readMsg) WireTag() byte { return wireTagRead }
-
-func (m readMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = appendTrace(dst, m.Context)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	dst = network.AppendU64(dst, m.Epoch)
-	return network.AppendString(dst, m.Key)
-}
-
-func decodeReadMsg(r *network.WireReader) network.Message {
-	var m readMsg
-	m.Header = r.Header()
-	m.Context = readTrace(r)
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	m.Key = r.String()
-	return m
-}
-
-func (m readAckMsg) WireTag() byte { return wireTagReadAck }
-
-func (m readAckMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	dst = network.AppendU64(dst, m.Epoch)
-	dst = appendVersion(dst, m.Version)
-	dst = network.AppendBytes(dst, m.Value)
-	return network.AppendBool(dst, m.Found)
-}
-
-func decodeReadAckMsg(r *network.WireReader) network.Message {
-	var m readAckMsg
-	m.Header = r.Header()
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	m.Version = readVersion(r)
-	m.Value = r.OwnedBytes()
-	m.Found = r.Bool()
-	return m
-}
-
-func (m writeMsg) WireTag() byte { return wireTagWrite }
-
-func (m writeMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = appendTrace(dst, m.Context)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	dst = network.AppendU64(dst, m.Epoch)
-	dst = network.AppendString(dst, m.Key)
-	dst = appendVersion(dst, m.Version)
-	return network.AppendBytes(dst, m.Value)
-}
-
-func decodeWriteMsg(r *network.WireReader) network.Message {
-	var m writeMsg
-	m.Header = r.Header()
-	m.Context = readTrace(r)
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	key := r.String()
-	m.Version = readVersion(r)
-	m.Key, m.Value = network.Own(key, r.Bytes())
-	return m
-}
-
-func (m writeAckMsg) WireTag() byte { return wireTagWriteAck }
-
-func (m writeAckMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	return network.AppendU64(dst, m.Epoch)
-}
-
-func decodeWriteAckMsg(r *network.WireReader) network.Message {
-	var m writeAckMsg
-	m.Header = r.Header()
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	return m
-}
-
-func (m nackMsg) WireTag() byte { return wireTagNack }
-
-func (m nackMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	dst = network.AppendU64(dst, m.Epoch)
-	dst = network.AppendBool(dst, m.Busy)
-	return network.AppendI64(dst, int64(m.RetryAfter))
-}
-
-func decodeNackMsg(r *network.WireReader) network.Message {
-	var m nackMsg
-	m.Header = r.Header()
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	m.Busy = r.Bool()
-	m.RetryAfter = time.Duration(r.I64())
-	return m
 }
 
 func (m opBatchMsg) WireTag() byte { return wireTagOpBatch }
@@ -251,6 +130,15 @@ func (m opBatchAckMsg) AppendWire(dst []byte) []byte {
 		dst = network.AppendU64(dst, a.OpID)
 		dst = network.AppendI64(dst, int64(a.Attempt))
 	}
+	dst = network.AppendU32(dst, uint32(len(m.Nacks)))
+	for i := range m.Nacks {
+		n := &m.Nacks[i]
+		dst = network.AppendU64(dst, n.OpID)
+		dst = network.AppendI64(dst, int64(n.Attempt))
+		dst = network.AppendU64(dst, n.Epoch)
+		dst = network.AppendBool(dst, n.Busy)
+		dst = network.AppendI64(dst, int64(n.RetryAfter))
+	}
 	return dst
 }
 
@@ -276,6 +164,18 @@ func decodeOpBatchAckMsg(r *network.WireReader) network.Message {
 			a := &m.WriteAcks[i]
 			a.OpID = r.U64()
 			a.Attempt = int(r.I64())
+		}
+	}
+	// A nackEntry is op(8)+attempt(8)+epoch(8)+busy(1)+retry-after(8).
+	if nn := r.Count(33); nn > 0 {
+		m.Nacks = make([]nackEntry, nn)
+		for i := range m.Nacks {
+			n := &m.Nacks[i]
+			n.OpID = r.U64()
+			n.Attempt = int(r.I64())
+			n.Epoch = r.U64()
+			n.Busy = r.Bool()
+			n.RetryAfter = time.Duration(r.I64())
 		}
 	}
 	return m

@@ -51,14 +51,15 @@ func TestABDWireCorruptCounts(t *testing.T) {
 	}
 }
 
-// TestABDWireEncodeZeroAlloc gates the quorum hot path: encoding a read
-// phase and its ack into a recycled buffer must not allocate.
+// TestABDWireEncodeZeroAlloc gates the quorum hot path: encoding a
+// one-phase read or write frame and its reply into a recycled buffer must
+// not allocate.
 func TestABDWireEncodeZeroAlloc(t *testing.T) {
 	msgs := []network.Message{
-		readMsg{Header: wireHeader(), OpID: 1, Attempt: 1, Epoch: 2, Key: "k"},
-		readAckMsg{Header: wireHeader(), OpID: 1, Version: kvstore.Version{Seq: 1}, Value: make([]byte, 256), Found: true},
-		writeMsg{Header: wireHeader(), OpID: 2, Key: "k", Value: make([]byte, 256)},
-		writeAckMsg{Header: wireHeader(), OpID: 2},
+		opBatchMsg{Header: wireHeader(), Reads: []readPhase{{OpID: 1, Attempt: 1, Epoch: 2, Key: "k"}}},
+		opBatchAckMsg{Header: wireHeader(), ReadAcks: []readAckEntry{{OpID: 1, Version: kvstore.Version{Seq: 1}, Value: make([]byte, 256), Found: true}}},
+		opBatchMsg{Header: wireHeader(), Writes: []writePhase{{OpID: 2, Key: "k", Value: make([]byte, 256)}}},
+		opBatchAckMsg{Header: wireHeader(), WriteAcks: []writeAckEntry{{OpID: 2}}},
 	}
 	buf := make([]byte, 0, 4096)
 	var c network.Codec
@@ -76,17 +77,12 @@ func TestABDWireEncodeZeroAlloc(t *testing.T) {
 }
 
 // wireSamples is at least one message per ABD wire tag, with edge cases:
-// empty values stay nil, empty batches carry no slices.
+// empty values stay nil, empty batches carry no slices, one-phase frames
+// (most of the traffic) and replies of nacks only or of every entry kind.
 func wireSamples() []network.WireMessage {
 	tc := tracing.Context{TraceID: 0xfeed, SpanID: 0xbeef}
 	ver := kvstore.Version{Seq: 42, Writer: 7}
 	return []network.WireMessage{
-		readMsg{Header: wireHeader(), Context: tc, OpID: 1, Attempt: 3, Epoch: 9, Key: "alpha"},
-		readAckMsg{Header: wireHeader(), OpID: 2, Attempt: 1, Epoch: 9, Version: ver, Value: []byte("v"), Found: true},
-		readAckMsg{Header: wireHeader(), OpID: 3, Epoch: 9, Found: false}, // empty value stays nil
-		writeMsg{Header: wireHeader(), Context: tc, OpID: 4, Attempt: 2, Epoch: 9, Key: "beta", Version: ver, Value: []byte("payload")},
-		writeAckMsg{Header: wireHeader(), OpID: 5, Attempt: 1, Epoch: 9},
-		nackMsg{Header: wireHeader(), OpID: 6, Attempt: 4, Epoch: 9, Busy: true, RetryAfter: 250 * time.Millisecond},
 		opBatchMsg{
 			Header: wireHeader(), Context: tc,
 			Reads: []readPhase{
@@ -105,7 +101,18 @@ func wireSamples() []network.WireMessage {
 				{OpID: 8, Found: false},
 			},
 			WriteAcks: []writeAckEntry{{OpID: 9, Attempt: 2}},
+			Nacks:     []nackEntry{{OpID: 10, Attempt: 1, Epoch: 8}},
 		},
+		opBatchMsg{Header: wireHeader(), Context: tc, Reads: []readPhase{{Context: tc, OpID: 1, Attempt: 3, Epoch: 9, Key: "alpha"}}},
+		opBatchMsg{Header: wireHeader(), Writes: []writePhase{{OpID: 4, Attempt: 2, Epoch: 9, Key: "beta", Version: ver, Value: []byte("payload")}}},
+		opBatchAckMsg{Header: wireHeader(), Epoch: 9, ReadAcks: []readAckEntry{{OpID: 2, Attempt: 1, Version: ver, Value: []byte("v"), Found: true}}},
+		opBatchAckMsg{Header: wireHeader(), Epoch: 9, ReadAcks: []readAckEntry{{OpID: 3}}}, // empty value stays nil
+		opBatchAckMsg{Header: wireHeader(), Epoch: 9, WriteAcks: []writeAckEntry{{OpID: 5, Attempt: 1}}},
+		opBatchAckMsg{Header: wireHeader(), Epoch: 9, Nacks: []nackEntry{ // nacks only
+			{OpID: 6, Attempt: 4, Epoch: 9, Busy: true, RetryAfter: 250 * time.Millisecond},
+			{OpID: 11, Attempt: 1, Epoch: 9, Busy: true},
+			{OpID: 12, Attempt: 2, Epoch: 9},
+		}},
 	}
 }
 
@@ -122,14 +129,14 @@ func FuzzABDWire(f *testing.F) {
 func TestDecodedWritesOwnTheirBytes(t *testing.T) {
 	ver := kvstore.Version{Seq: 1, Writer: 1}
 	writes := []network.Message{
-		writeMsg{Header: wireHeader(), OpID: 1, Key: "single", Version: ver, Value: []byte("value-0")},
+		opBatchMsg{Header: wireHeader(), Writes: []writePhase{{OpID: 1, Key: "single", Version: ver, Value: []byte("value-0")}}},
 		opBatchMsg{Header: wireHeader(), Writes: []writePhase{
 			{OpID: 2, Key: "batched-1", Version: ver, Value: []byte("value-1")},
 			{OpID: 3, Key: "batched-2", Version: ver, Value: []byte("value-2")},
 		}},
 	}
 	acks := []network.Message{
-		readAckMsg{Header: wireHeader(), OpID: 4, Version: ver, Value: []byte("ack-0"), Found: true},
+		opBatchAckMsg{Header: wireHeader(), ReadAcks: []readAckEntry{{OpID: 4, Version: ver, Value: []byte("ack-0"), Found: true}}},
 		opBatchAckMsg{Header: wireHeader(), ReadAcks: []readAckEntry{{OpID: 5, Version: ver, Value: []byte("ack-1"), Found: true}}},
 	}
 	store := kvstore.New()
@@ -147,11 +154,6 @@ func TestDecodedWritesOwnTheirBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch d := got.(type) {
-		case writeMsg:
-			want[d.Key] = string(d.Value)
-			if _, err := store.ApplyDurable(d.Key, d.Version, d.Value); err != nil {
-				t.Fatal(err)
-			}
 		case opBatchMsg:
 			for _, p := range d.Writes {
 				want[p.Key] = string(p.Value)
@@ -159,8 +161,6 @@ func TestDecodedWritesOwnTheirBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		case readAckMsg:
-			kept = append(kept, d.Value)
 		case opBatchAckMsg:
 			kept = append(kept, d.ReadAcks[0].Value)
 		}

@@ -87,9 +87,6 @@ type NodeConfig struct {
 	// for lagging members before serving with what transferred
 	// (default 2s).
 	HandoffPullTimeout time.Duration
-	// NoCoalesce disables ABD quorum coalescing, sending every quorum
-	// phase as its own message (A/B benchmarking).
-	NoCoalesce bool
 
 	// Gray-failure resilience knobs, passed through to the ABD component
 	// (see abd.Config for semantics and defaults). DeadlineFloor and
@@ -281,7 +278,6 @@ func (n *Node) Setup(ctx *core.Ctx) {
 		ReplicationDegree: n.cfg.ReplicationDegree,
 		OpTimeout:         n.cfg.OpTimeout,
 		Store:             store,
-		NoCoalesce:        n.cfg.NoCoalesce,
 		DeadlineFloor:     n.cfg.DeadlineFloor,
 		DeadlineCeil:      n.cfg.DeadlineCeil,
 		NoHedge:           n.cfg.NoHedge,

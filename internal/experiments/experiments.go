@@ -6,9 +6,9 @@
 //   - Latency (C1): end-to-end operation latency on an in-process cluster.
 //   - Scaling (C2): aggregate read throughput vs. cluster size.
 //   - Stealing (C3): work-stealing batch-size ablation.
-//   - QuorumAB (C4), QuorumTraceAB (C6), WALBench (C7) and HedgeBench
-//     (C8): the A/B comparisons, each an arm list over the one interleaved
-//     runner in ab.go. They and MillionKV (C5) return one Result.
+//   - QuorumTraceAB (C6), WALBench (C7) and HedgeBench (C8): the A/B
+//     comparisons, each an arm list over the one interleaved runner in
+//     ab.go. They and MillionKV (C5) return one Result.
 //   - Scenarios: the scenario registry in scenario.go, one Outcome per run.
 package experiments
 

@@ -62,8 +62,8 @@ func bootKVCluster(n int, cfg cats.NodeConfig, dataRoot string) (*core.Runtime, 
 // kvRound boots a fresh 3-node cluster at replication degree 3 (every
 // key maps to the same replica set), runs one closed-loop load of `ops`
 // ops from `clients` clients over 64 keys of 256 B values, and returns
-// it as a sample counting the coordinators' multi-op frames and the
-// process-wide WAL counter deltas.
+// it as a sample counting the coordinators' quorum frames and the phases
+// they carried, and the process-wide WAL counter deltas.
 func kvRound(cfg cats.NodeConfig, dataRoot string, clients, ops int, readFraction float64) sample {
 	kv0 := kvstore.GlobalMetrics()
 	rt, host, exp := bootKVCluster(3, cfg, dataRoot)
@@ -103,28 +103,8 @@ func kvRound(cfg cats.NodeConfig, dataRoot string, clients, ops int, readFractio
 	return s
 }
 
-// QuorumAB measures the coalesced quorum path against the uncoalesced one
-// on kvRound's same-replica-set workload, half reads: many closed-loop
-// clients pile quorum phases onto each coordinator, and coalescing
-// carries same-destination phases in one frame per peer. Metric
-// "improvement" is coalesced ÷ uncoalesced ops/s - 1.
-func QuorumAB(clients, opsPerRound, rounds int) (Result, error) {
-	round := func(noCoalesce bool) func() (sample, error) {
-		return func() (sample, error) {
-			cfg := kvClusterConfig()
-			cfg.NoCoalesce = noCoalesce
-			return kvRound(cfg, "", clients, opsPerRound, 0.5), nil
-		}
-	}
-	res, err := runAB(rounds, true, arm{"uncoalesced", round(true)}, arm{"coalesced", round(false)})
-	if a := res.Arms; err == nil && a[0].OpsPS > 0 {
-		res.Metrics = map[string]float64{"improvement": a[1].OpsPS/a[0].OpsPS - 1}
-	}
-	return res, err
-}
-
-// QuorumTraceAB measures the cost of the span layer on QuorumAB's
-// coalesced workload at three sampling rates: off, the default 1 in 64,
+// QuorumTraceAB measures the cost of the span layer on kvRound's
+// same-replica-set workload, half reads, at three sampling rates: off, the default 1 in 64,
 // and every op. Each round records into a fresh private span ring
 // (counted as "spans"); the process sampling rate and ring are restored
 // after it. Metrics "sampled_overhead" and "always_overhead" are the

@@ -8,8 +8,8 @@ import (
 )
 
 // Wire forms of the handoff chunk messages. Tags 0x10–0x11 (the ABD
-// quorum set owns 0x01–0x07). Every item's key and value is copied out of
-// the frame: the receiver stores them.
+// quorum frame pair owns 0x06–0x07). Every item's key and value is copied
+// out of the frame: the receiver stores them.
 const (
 	wireTagPullReq byte = 0x10
 	wireTagItems   byte = 0x11
